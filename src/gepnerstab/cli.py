@@ -19,6 +19,7 @@ from .classify import table_rows
 from .exactmath import CycloNum, embed
 from .extcalc import ext_cc, ext_cm
 from .geomcharge import ChClass, constants, mukai, solve_for_type, zg_geom
+from .gfield import is_prime
 from .hearts import (
     UnsupportedCaseError,
     finite_phases,
@@ -33,8 +34,11 @@ from .hearts import (
 )
 from .mfcore import WeightedType
 from .quiverrep import (
+    MAX_TOTAL_DIM,
     QuiverRep,
+    ResourceLimitError,
     StabilitySpec,
+    bounded_field,
     default_spec,
     heart_quiver,
     hn_filtration,
@@ -241,7 +245,11 @@ def cmd_ext(args) -> int:
     elif tgt in ("point", "PsiOx"):
         from .hearts import points_of
 
-        point = points_of(wtype)[args.point - 1]
+        points = points_of(wtype)
+        if not 1 <= args.point <= len(points):
+            print(f"--point must be in 1..{len(points)}", file=sys.stderr)
+            return 2
+        point = points[args.point - 1]
         table = {i: ext_cm(wtype, j, point, i)[0] for i in range(4)}
         label = f"Hom^i(C({j}), PsiO(p{args.point}))"
     else:
@@ -255,9 +263,22 @@ def cmd_ext(args) -> int:
     )
 
 
+def _parse_primes(text: str, max_q: int) -> list[int] | None:
+    """The listed primes, or None unless every entry is a prime <= max_q."""
+    try:
+        primes = [int(p) for p in text.split(",")]
+    except ValueError:
+        return None
+    # the bound comes first: it keeps the primality test small
+    return primes if all(p <= max_q and is_prime(p) for p in primes) else None
+
+
 def cmd_stability(args) -> int:
     wtype = WeightedType.parse(args.type)
-    primes = [int(p) for p in args.primes.split(",")]
+    primes = _parse_primes(args.primes, args.max_q)
+    if primes is None:
+        print(f"--primes takes primes up to --max-q ({args.max_q}), got {args.primes!r}", file=sys.stderr)
+        return 2
     name = args.object
     point_index = 1
     if "(" in name:
@@ -268,7 +289,7 @@ def cmd_stability(args) -> int:
     verdicts = []
     fields = []
     for p in primes:
-        red = reduce_rep(obj, p)
+        red = reduce_rep(obj, p, max_q=args.max_q)
         v = is_stable(red, spec, max_q=args.max_q)
         verdicts.append(v)
         fields.append(f"F_{p}" + (f" via {red.field.label()}" if red.field.k > 1 else ""))
@@ -315,27 +336,44 @@ def _object_notes(wtype: WeightedType, name: str) -> list[str]:
     return []
 
 
+def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
+    """The representation in an "Fp" file; zero maps where the file gives none."""
+    gf = bounded_field(int(data["p"]), quiver.conductor, max_q)
+    dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
+    if min(dims.values()) < 0:
+        raise ValueError(f"negative dimension in {dims}")
+    if sum(dims.values()) > MAX_TOTAL_DIM:  # refused before the zero maps are built
+        raise ResourceLimitError(f"total dimension {sum(dims.values())} exceeds {MAX_TOTAL_DIM}")
+    mats = {k: tuple(tuple(int(x) % gf.q for x in row) for row in m) for k, m in data.get("mats", {}).items()}
+    for a in quiver.arrows:
+        if a.label not in mats:
+            mats[a.label] = tuple(tuple(0 for _ in range(dims[a.src])) for _ in range(dims[a.tgt]))
+    return QuiverRep(quiver, gf, dims, mats)
+
+
 def cmd_hn(args) -> int:
-    with open(args.rep) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.rep) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        print(f"cannot read {args.rep}: {exc.strerror}", file=sys.stderr)
+        return 2
+    if not isinstance(data, dict):
+        print("the representation file must hold a JSON object", file=sys.stderr)
+        return 2
     type_str = args.type or data.get("type")
     if not type_str:
         print("need --type or a 'type' field in the representation file", file=sys.stderr)
         return 2
     wtype = WeightedType.parse(type_str)
     quiver = heart_quiver(wtype)
-    from .gfield import field_for
-
-    if data.get("field") == "Fp":
-        gf = field_for(int(data["p"]), quiver.conductor)
-        dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
-        mats = {k: tuple(tuple(int(x) % gf.q for x in row) for row in m) for k, m in data.get("mats", {}).items()}
-        for a in quiver.arrows:
-            if a.label not in mats:
-                mats[a.label] = tuple(tuple(0 for _ in range(dims[a.src])) for _ in range(dims[a.tgt]))
-        rep = QuiverRep(quiver, gf, dims, mats)
-    else:
+    if data.get("field") != "Fp":
         print("rep field must be 'Fp' with a prime p", file=sys.stderr)
+        return 2
+    try:
+        rep = _fp_rep(data, quiver, args.max_q)
+    except (KeyError, TypeError, AttributeError) as exc:
+        print(f"malformed representation file: {exc!r}", file=sys.stderr)
         return 2
     if not rep.validate():
         print("representation violates the quiver relations", file=sys.stderr)
@@ -423,7 +461,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return HANDLERS[args.cmd](args)
-    except (UnsupportedCaseError, ValueError) as exc:
+    except (UnsupportedCaseError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

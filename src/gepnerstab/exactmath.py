@@ -569,25 +569,6 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
 # ---------------------------------------------------------------------------
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    zero = CycloNum.zero()
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = zero
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(len(v))), CycloNum.zero()) for i in range(len(a))]
-
-
 def _rref(mat):
     """Row reduce in place (list of lists of CycloNum); returns pivot cols."""
     rows = len(mat)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .exactmath import CycloNum
 
@@ -54,10 +54,21 @@ def _find_irreducible(p: int, k: int) -> list[int]:
     raise ArithmeticError(f"no irreducible of degree {k} found over F_{p}")
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def check_prime(p: int) -> None:
+    """Reject a characteristic that is not a prime >= 2 (Z/p is then no field)."""
+    if not is_prime(p):
+        raise ValueError(f"the characteristic must be a prime >= 2, got {p}")
+
+
 class GF:
     """The field with p^k elements; element codes are ints in range(q)."""
 
     def __init__(self, p: int, k: int = 1):
+        check_prime(p)
         self.p = p
         self.k = k
         self.q = p**k
@@ -149,17 +160,23 @@ class GF:
         return acc
 
 
-@lru_cache(maxsize=None)
-def field_for(p: int, conductor: int) -> GF:
-    """The smallest GF(p^k) containing the conductor-th roots of unity."""
+def field_degree(p: int, conductor: int) -> int:
+    """The least k such that GF(p^k) contains the conductor-th roots of unity."""
+    check_prime(p)
     if conductor == 1:
-        return GF(p, 1)
+        return 1
     if gcd(p, conductor) != 1:
         raise BadReductionError(f"prime {p} divides the conductor {conductor}")
     k = 1
     while pow(p, k, conductor) != 1:
         k += 1
-    return GF(p, k)
+    return k
+
+
+@lru_cache(maxsize=None)
+def field_for(p: int, conductor: int) -> GF:
+    """The smallest GF(p^k) containing the conductor-th roots of unity."""
+    return GF(p, field_degree(p, conductor))
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +225,6 @@ def in_span(field: GF, basis, vec) -> bool:
             f = field.neg[v[c]]
             v = [field.add[x][field.mul[f][y]] for x, y in zip(v, row)]
     return not any(v)
-
-
-def subspace_contains(field: GF, big, small) -> bool:
-    return all(in_span(field, big, v) for v in small)
 
 
 def mat_apply(field: GF, mat, vec):
@@ -288,17 +301,14 @@ def superspaces(field: GF, lower, ambient_dim: int):
     return out
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
     if k < 0 or k > n:
         return 0
     num = prod(q**n - q**i for i in range(k))
     den = prod(q**k - q**i for i in range(k))
     return num // den
-
-
-def count_superspaces(field: GF, lower_dim: int, target_dim: int, ambient_dim: int) -> int:
-    """Number of target_dim subspaces between a fixed lower_dim one and F^ambient."""
-    return gaussian_binomial(ambient_dim - lower_dim, target_dim - lower_dim, field.q)
 
 
 def extend_to_dim(field: GF, lower, target_dim: int, ambient_dim: int):

@@ -304,11 +304,6 @@ def _exact_cos(d: int) -> Fraction:
     return val.as_fraction()
 
 
-def _exact_sin_positive(d: int) -> bool:
-    # sin(2 pi / d) > 0 for d >= 3
-    return d >= 3
-
-
 def im_units(lat: CaseLattice, v) -> Fraction:
     """Rotated imaginary part of zg in units of its minimal positive value.
 

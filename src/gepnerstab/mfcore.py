@@ -15,7 +15,6 @@ zg of the rank-2^(n-1) Koszul factorization equal the closed product form
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -343,7 +342,3 @@ def mf_from_json(obj: dict) -> GradedMF:
         GradedFreeModule(tuple(obj["p1_shifts"])),
         maps,
     )
-
-
-def mf_to_json_str(mf: GradedMF) -> str:
-    return json.dumps(mf_to_json(mf), sort_keys=True)

@@ -20,16 +20,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .exactmath import CycloNum
 from .extcalc import ext_cc, ext_cm, ext_cm_closed_form, yoneda_relations
 from .gfield import (
     GF,
     BadReductionError,
+    check_prime,
     coords_in_basis,
-    count_superspaces,
     extend_to_dim,
+    field_degree,
     field_for,
+    gaussian_binomial,
     image_vectors,
     mat_apply,
     project_to_quotient,
@@ -321,6 +324,7 @@ def is_good_prime(wtype: WeightedType, p: int) -> bool:
     (projective) points; their field norms are integers whose prime
     divisors are excluded.
     """
+    check_prime(p)
     if (2 * wtype.degree) % p == 0:
         return False
     pts = points_of(wtype)
@@ -352,17 +356,30 @@ def rep_to_json(rep: QuiverRep) -> dict:
     }
 
 
-def reduce_rep(rep: QuiverRep, p: int) -> QuiverRep:
+def bounded_field(p: int, conductor: int, max_q: int | None = None) -> GF:
+    """field_for, refused before its tables are built if it has more than max_q elements."""
+    if max_q is not None:
+        if p > max_q:  # GF(p^k) has at least p elements; spares the primality test
+            raise ResourceLimitError(f"characteristic {p} exceeds the field size bound {max_q}")
+        q = p ** field_degree(p, conductor)
+        if q > max_q:
+            raise ResourceLimitError(f"field size {q} exceeds {max_q}")
+    return field_for(p, conductor)
+
+
+def reduce_rep(rep: QuiverRep, p: int, max_q: int | None = None) -> QuiverRep:
     """Reduce an exact representation modulo a good prime.
 
     The field is GF(p^k) with k minimal so the quiver's cyclotomic
     conductor embeds; entries map through a fixed order-N root of unity.
+    With max_q, a field with more than max_q elements is refused before
+    it is built.
     """
     if rep.field is not EXACT:
         raise ValueError("can only reduce exact representations")
     if not is_good_prime(rep.quiver.wtype, p):
         raise BadReductionError(f"{p} is not a good prime for {rep.quiver.wtype}")
-    gf = field_for(p, rep.quiver.conductor)
+    gf = bounded_field(p, rep.quiver.conductor, max_q)
     mats = {
         label: tuple(
             tuple(gf.reduce_cyclo(x, rep.quiver.conductor) for x in row) for row in mat
@@ -384,11 +401,33 @@ MAX_TOTAL_DIM = 12
 MAX_Q_ORACLE = 49
 
 
-@dataclass
 class SubrepClass:
-    dims: tuple[int, ...]
-    count: int
-    witness: dict  # vertex -> RREF basis rows
+    """One subrepresentation dimension vector: its number of subreps and a witness.
+
+    The witness (vertex -> RREF basis rows) is one subrepresentation of
+    these dimensions.  It is built on first access: the representative
+    inner choice of the class's signature group, with each sink bound
+    extended to the class's sink dimension.
+    """
+
+    __slots__ = ("dims", "count", "_field", "_inner", "_sinks", "_witness")
+
+    def __init__(self, dims: tuple[int, ...], count: int, field: GF, inner: dict, sinks: list):
+        self.dims = dims
+        self.count = count
+        self._field = field
+        self._inner = inner  # inner vertex -> chosen RREF subspace
+        self._sinks = sinks  # (sink, lower bound, target dim, ambient dim)
+        self._witness = None
+
+    @property
+    def witness(self) -> dict:
+        if self._witness is None:
+            witness = dict(self._inner)
+            for s, bound, m, n in self._sinks:
+                witness[s] = extend_to_dim(self._field, bound, m, n)
+            self._witness = witness
+        return self._witness
 
 
 def _check_guard(rep: QuiverRep, max_q: int):
@@ -404,8 +443,15 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     """All subrepresentation dimension vectors with counts and witnesses.
 
     Vertices with outgoing arrows are enumerated subspace by subspace
-    (each choice bounded below by the images of earlier choices); sink
-    vertices are aggregated combinatorially through Gaussian counts.
+    (each choice bounded below by the images of earlier choices).  Once
+    they are chosen the sinks are independent: a sink s of dimension n
+    with lower bound of dimension lo admits gaussian_binomial(n - lo,
+    m - lo, q) subspaces of each dimension m >= lo.  So each inner choice
+    reduces to a signature (inner dimensions, sink bound dimensions);
+    choices are counted per signature, and each signature's sink product
+    is expanded once, after the search.  The result keeps the order in
+    which a per-choice expansion would first meet each dimension vector.
+    Witnesses are lazy (see SubrepClass).
     """
     _check_guard(rep, max_q)
     q = rep.quiver
@@ -429,65 +475,51 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
         if not progressed:
             raise ResourceLimitError("quiver has a cycle through inner vertices")
 
-    out: dict[tuple[int, ...], SubrepClass] = {}
-
-    def sink_options(chosen):
-        opts = []
-        for s in sinks:
-            dim_s = rep.dims.get(s, 0)
-            bound_vecs = []
-            for a in q.arrows_into(s):
-                bound_vecs.extend(image_vectors(f, rep.mats[a.label], chosen[a.src]))
-            bound = span(f, bound_vecs)
-            lo = len(bound)
-            choices = []
-            for m in range(lo, dim_s + 1):
-                cnt = count_superspaces(f, lo, m, dim_s)
-                wit = extend_to_dim(f, bound, m, dim_s)
-                choices.append((m, cnt, wit))
-            opts.append((s, choices))
-        return opts
-
-    def emit(chosen):
-        opts = sink_options(chosen)
-
-        def rec_sink(i, dims_acc, count_acc, wit_acc):
-            if i == len(opts):
-                key = tuple(
-                    len(chosen[v]) if v in chosen else dims_acc[v] for v in verts
-                )
-                if key in out:
-                    out[key].count += count_acc
-                else:
-                    witness = {v: chosen[v] for v in chosen}
-                    witness.update(wit_acc)
-                    out[key] = SubrepClass(key, count_acc, witness)
-                return
-            s, choices = opts[i]
-            for m, cnt, wit in choices:
-                dims_acc[s] = m
-                wit_acc[s] = wit
-                rec_sink(i + 1, dims_acc, count_acc * cnt, wit_acc)
-            del dims_acc[s], wit_acc[s]
-
-        rec_sink(0, {}, 1, {})
-
-    def rec(idx, chosen):
-        if idx == len(order):
-            emit(chosen)
-            return
-        v = order[idx]
-        dim_v = rep.dims.get(v, 0)
+    def lower_bound(v, chosen):
         bound_vecs = []
         for a in q.arrows_into(v):
             bound_vecs.extend(image_vectors(f, rep.mats[a.label], chosen[a.src]))
-        bound = span(f, bound_vecs)
-        for u in superspaces(f, bound, dim_v):
+        return span(f, bound_vecs)
+
+    # signature -> [inner choices, representative choice, its sink bounds]
+    groups: dict = {}
+
+    def rec(idx, chosen):
+        if idx == len(order):
+            bounds = [lower_bound(s, chosen) for s in sinks]
+            sig = (tuple(len(chosen[v]) for v in order), tuple(len(b) for b in bounds))
+            group = groups.get(sig)
+            if group is None:
+                groups[sig] = [1, dict(chosen), bounds]
+            else:
+                group[0] += 1
+            return
+        v = order[idx]
+        for u in superspaces(f, lower_bound(v, chosen), rep.dims.get(v, 0)):
             chosen[v] = u
             rec(idx + 1, chosen)
         del chosen[v]
 
     rec(0, {})
+
+    slot = {v: i for i, v in enumerate(verts)}
+    sink_dims = [rep.dims.get(s, 0) for s in sinks]
+    out: dict[tuple[int, ...], SubrepClass] = {}
+    for (inner_dims, los), (leaves, chosen, bounds) in groups.items():
+        key = [0] * len(verts)
+        for v, m in zip(order, inner_dims):
+            key[slot[v]] = m
+        for ms in product(*(range(lo, n + 1) for lo, n in zip(los, sink_dims))):
+            count = leaves
+            for m, lo, n, s in zip(ms, los, sink_dims, sinks):
+                count *= gaussian_binomial(n - lo, m - lo, f.q)
+                key[slot[s]] = m
+            dims = tuple(key)
+            cls = out.get(dims)
+            if cls is None:
+                out[dims] = SubrepClass(dims, count, f, chosen, list(zip(sinks, bounds, ms, sink_dims)))
+            else:
+                cls.count += count
     return out
 
 

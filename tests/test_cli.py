@@ -1,11 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import gepnerstab
 from gepnerstab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# the child interpreter imports the package this test imported
+CHILD_PATH = os.pathsep.join(filter(None, [str(Path(gepnerstab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(*argv):
@@ -13,8 +19,16 @@ def run_cli(*argv):
         [sys.executable, "-m", "gepnerstab.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=CHILD_PATH),
     )
     return proc
+
+
+def assert_usage_error(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_table1_golden_bytes():
@@ -130,3 +144,49 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "K3 surface" in out
+
+
+@pytest.mark.parametrize("primes", ["49", "4", "9", "0", "1", "-5", "5,x", "131"])
+def test_stability_rejects_non_primes(primes):
+    # 49 used to hang in the field set-up; the others reported a verification failure
+    assert_usage_error(run_cli("stability", "--type", "1,1:3", "--object", "C1m1", "--primes", primes))
+
+
+def test_stability_refuses_oversize_field():
+    proc = run_cli("stability", "--type", "1,1:4", "--object", "C2m1", "--primes", "127")
+    assert_usage_error(proc)
+    assert "field size 16129 exceeds 130" in proc.stderr
+
+
+def test_ext_point_out_of_range():
+    for point in ("99", "0"):
+        proc = run_cli("ext", "--type", "1,1:4", "--from", "C(1)", "--to", "point", "--point", point)
+        assert_usage_error(proc)
+        assert "--point must be in 1..4" in proc.stderr
+
+
+def test_hn_missing_file(tmp_path):
+    assert_usage_error(run_cli("hn", "--rep", str(tmp_path / "missing.json")))
+
+
+ZERO_113 = {"field": "Fp", "p": 5, "type": "(1,1;3)", "dims": {"C(0)": 1}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (ZERO_113 | {"p": 49}, "prime >= 2, got 49"),
+        (ZERO_113 | {"dims": {"C(0)": 3, "PsiO(p1)": 3, "PsiO(p2)": 3, "PsiO(p3)": 6}}, "total dimension 15 exceeds 12"),
+        (ZERO_113 | {"dims": {"C(0)": 10**6, "PsiO(p1)": 10**6}}, "total dimension 2000000 exceeds 12"),
+        (ZERO_113 | {"dims": {"C(0)": -1}}, "negative dimension"),
+        ([1, 2], "must hold a JSON object"),
+        ({k: v for k, v in ZERO_113.items() if k != "p"}, "malformed representation file: KeyError('p')"),
+        (ZERO_113 | {"dims": [1]}, "malformed representation file: AttributeError"),
+    ],
+)
+def test_hn_rep_file_errors(tmp_path, data, message):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("hn", "--rep", str(path))
+    assert_usage_error(proc)
+    assert message in proc.stderr

@@ -47,6 +47,25 @@ def test_gf_basic():
         assert f.mul[a][f.add[b][c]] == f.add[f.mul[a][b]][f.mul[a][c]]
 
 
+def test_gf_rejects_non_prime_characteristic():
+    for p in (49, 4, 9, 1, 0, -5):
+        with pytest.raises(ValueError):
+            GF(p)
+        with pytest.raises(ValueError):
+            field_for(p, 8)
+        with pytest.raises(ValueError):
+            is_good_prime(T113, p)
+
+
+def test_reduce_rep_refuses_large_field_before_building_it():
+    obj = named_object(T114, "C2m1")  # conductor 8: F_127 needs k = 2
+    with pytest.raises(ResourceLimitError, match="field size 16129 exceeds 130"):
+        reduce_rep(obj, 127, max_q=130)
+    with pytest.raises(ResourceLimitError, match="characteristic 131"):
+        reduce_rep(obj, 131, max_q=130)
+    assert reduce_rep(obj, 11, max_q=130).field.q == 121
+
+
 def test_gf_roots_of_unity():
     f = field_for(5, 8)
     assert f.q == 25
@@ -455,17 +474,20 @@ def test_rep_json_roundtrip():
 
 
 def test_subrep_restriction_and_quotient():
-    t = T114
+    # every proper class of seeded reps on a star and on a two-step quiver:
+    # each lazily built witness must be a subrepresentation of its class
     rng = random.Random(9)
-    q = heart_quiver(t)
-    rep = random_rep(q, 5, rng, max_dim=2, inner_budget=3, total_budget=8)
-    classes = subrep_classes(rep)
-    for dims, cls in list(classes.items())[:10]:
-        if not any(dims) or dims == rep.kclass():
-            continue
-        sub = subrep_restriction(rep, cls.witness)
-        assert sub.kclass() == dims
-        assert sub.validate()
-        quot = quotient_rep(rep, cls.witness)
-        assert quot.validate()
-        assert tuple(a + b for a, b in zip(sub.kclass(), quot.kclass())) == rep.kclass()
+    for t in (T113, T114):
+        q = heart_quiver(t)
+        for _ in range(3):
+            rep = random_rep(q, 5, rng, max_dim=2, inner_budget=3, total_budget=8)
+            for dims, cls in subrep_classes(rep).items():
+                if not any(dims) or dims == rep.kclass():
+                    continue
+                assert cls.witness is cls.witness  # built once
+                sub = subrep_restriction(rep, cls.witness)
+                assert sub.kclass() == dims
+                assert sub.validate()
+                quot = quotient_rep(rep, cls.witness)
+                assert quot.validate()
+                assert tuple(a + b for a, b in zip(sub.kclass(), quot.kclass())) == rep.kclass()

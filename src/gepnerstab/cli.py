@@ -337,14 +337,27 @@ def _object_notes(wtype: WeightedType, name: str) -> list[str]:
 
 
 def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
-    """The representation in an "Fp" file; zero maps where the file gives none."""
+    """The representation in an "Fp" file; zero maps where the file gives none.
+
+    A label that is no arrow, or a map whose shape does not match the
+    dimensions, is a malformed file (ValueError), not a relation failure.
+    """
     gf = bounded_field(int(data["p"]), quiver.conductor, max_q)
     dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
     if min(dims.values()) < 0:
         raise ValueError(f"negative dimension in {dims}")
     if sum(dims.values()) > MAX_TOTAL_DIM:  # refused before the zero maps are built
         raise ResourceLimitError(f"total dimension {sum(dims.values())} exceeds {MAX_TOTAL_DIM}")
-    mats = {k: tuple(tuple(int(x) % gf.q for x in row) for row in m) for k, m in data.get("mats", {}).items()}
+    arrows = {a.label: a for a in quiver.arrows}
+    mats = {}
+    for label, m in data.get("mats", {}).items():
+        if label not in arrows:
+            raise ValueError(f"{label!r} is not an arrow of the {quiver.wtype} quiver")
+        a = arrows[label]
+        mat = tuple(tuple(int(x) % gf.q for x in row) for row in m)
+        if len(mat) != dims[a.tgt] or any(len(row) != dims[a.src] for row in mat):
+            raise ValueError(f"map {label} ({a.src} -> {a.tgt}) must be a {dims[a.tgt]}x{dims[a.src]} matrix")
+        mats[label] = mat
     for a in quiver.arrows:
         if a.label not in mats:
             mats[a.label] = tuple(tuple(0 for _ in range(dims[a.src])) for _ in range(dims[a.tgt]))

@@ -38,32 +38,17 @@ class ZeroValueError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> list[int]:
-    # exact division of integer polynomials (low-to-high coefficients),
-    # den monic; remainder must vanish
-    num = num[:]
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("nonzero remainder in cyclotomic division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_d, low to high, monic."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    poly = [0] * d + [1]
-    poly[0] = -1  # x^d - 1
+    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
     for e in range(1, d):
         if d % e == 0:
-            poly = _poly_divmod_int(poly, list(cyclotomic_polynomial(e)))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(e))
+            if any(rem):
+                raise ArithmeticError("nonzero remainder in cyclotomic division")
     return tuple(poly)
 
 
@@ -360,7 +345,7 @@ def _poly_xgcd_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]
     r0, r1 = trim(modulus), trim(a)
     s0, s1 = [], [Fraction(1)]
     while deg(r1) > 0:
-        q, r = _poly_divmod_frac(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         s = _poly_sub(s0, _poly_mul(q, s1))
         r0, r1, s0, s1 = r1, trim(r), s1, trim(s)
     if deg(r1) != 0:
@@ -369,13 +354,19 @@ def _poly_xgcd_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]
     return [x / c for x in s1]
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
+def _poly_divmod(num: list, den):
+    """Quotient and remainder of polynomials (low-to-high coefficients).
+
+    Coefficients are Fractions, or ints when den is monic: a monic divisor
+    needs no division, so integer input stays integral (and fast).
+    """
     num = num[:]
     dn = len(den) - 1
     lead = den[dn]
+    monic = lead == 1
     q = [Fraction(0)] * max(len(num) - dn, 1)
     for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn] / lead
+        c = num[i + dn] if monic else num[i + dn] / lead
         q[i] = c
         if c:
             for j, dj in enumerate(den):

@@ -307,10 +307,6 @@ def ext_cc(wtype: WeightedType, j: int, i: int) -> int:
     return cx.cohomology_dim(i)
 
 
-def ext_cc_table(wtype: WeightedType, j: int) -> dict[int, int]:
-    return {i: ext_cc(wtype, j, i) for i in range(4)}
-
-
 def ext_cc_closed_form(wtype: WeightedType, j: int, i: int) -> int:
     """The tabulated value: dim R_j at (1, a1), (1, a2); dim R_0 at (2, a1+a2)."""
     a1, a2 = wtype.weights

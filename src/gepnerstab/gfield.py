@@ -6,12 +6,18 @@ here: row reduction, span/membership, canonical subspace keys, full
 subspace enumeration for ambient dimension <= 4, superspace enumeration,
 and Gaussian binomial counts.  Cyclotomic data reduces into GF(p^k)
 through a chosen multiplicative root of unity.
+
+A subspace is always its canonical RREF basis, as ``span`` returns it, so
+a dict key.  Every function that takes a subspace relies on this: pivots
+are read straight off the rows (``pivot_columns``), and membership and
+quotient projection share one reduce loop against those pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import gcd, isqrt, prod
 
 from .exactmath import CycloNum
@@ -88,8 +94,6 @@ class GF:
                 n = n * p + (d % p)
             return n
 
-        self._decode = decode
-        self._encode = encode
         self.add = [[encode([(x + y) % p for x, y in zip(decode(a), decode(b))]) for b in range(q)] for a in range(q)]
         self.neg = [encode([(-x) % p for x in decode(a)]) for a in range(q)]
         self.mul = [
@@ -184,15 +188,13 @@ def field_for(p: int, conductor: int) -> GF:
 # ---------------------------------------------------------------------------
 
 
-def rref(field: GF, rows: list[tuple[int, ...]]):
-    """Row-reduced echelon basis (nonzero rows) and pivot columns."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
+def span(field: GF, vectors) -> tuple[tuple[int, ...], ...]:
+    """Canonical (RREF) basis of the span; usable as a dict key."""
+    mat = [list(v) for v in vectors if any(v)]
+    if not mat:
+        return ()
     r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0])):
         pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
@@ -203,28 +205,30 @@ def rref(field: GF, rows: list[tuple[int, ...]]):
             if i != r and mat[i][c]:
                 f = field.neg[mat[i][c]]
                 mat[i] = [field.add[x][field.mul[f][y]] for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    basis = [tuple(mat[i]) for i in range(r)]
-    return basis, pivots
+    return tuple(tuple(mat[i]) for i in range(r))
 
 
-def span(field: GF, vectors) -> tuple[tuple[int, ...], ...]:
-    """Canonical (RREF) form of the span; usable as a dict key."""
-    basis, _ = rref(field, [tuple(v) for v in vectors if any(v)])
-    return tuple(basis)
+def pivot_columns(basis) -> list[int]:
+    """The pivot column of each row of an RREF basis: its first nonzero entry."""
+    return [next(c for c, x in enumerate(row) if x) for row in basis]
+
+
+def _reduce(field: GF, basis, vec) -> list[int]:
+    """vec minus its component along the RREF basis; zero at the basis pivots."""
+    v = list(vec)
+    for row, c in zip(basis, pivot_columns(basis)):
+        if v[c]:
+            f = field.neg[v[c]]
+            v = [field.add[x][field.mul[f][y]] for x, y in zip(v, row)]
+    return v
 
 
 def in_span(field: GF, basis, vec) -> bool:
-    v = list(vec)
-    for row in basis:
-        c = next((i for i, x in enumerate(row) if x), None)
-        if c is not None and v[c]:
-            f = field.neg[v[c]]
-            v = [field.add[x][field.mul[f][y]] for x, y in zip(v, row)]
-    return not any(v)
+    """Membership of vec in the span of an RREF basis."""
+    return not any(_reduce(field, basis, vec))
 
 
 def mat_apply(field: GF, mat, vec):
@@ -245,13 +249,10 @@ def image_vectors(field: GF, mat, basis):
 
 
 @lru_cache(maxsize=None)
-def all_subspaces(field_key, n: int):
+def subspaces_of(field: GF, n: int):
     """All subspaces of F_q^n as canonical RREF tuples (cached per field)."""
-    field = _FIELD_REGISTRY[field_key]
     q = field.q
     out = [()]
-    from itertools import combinations, product
-
     for r in range(1, n + 1):
         for pivots in combinations(range(n), r):
             free_positions = []
@@ -269,26 +270,12 @@ def all_subspaces(field_key, n: int):
     return out
 
 
-_FIELD_REGISTRY: dict = {}
-
-
-def register_field(field: GF):
-    key = (field.p, field.k)
-    _FIELD_REGISTRY[key] = field
-    return key
-
-
-def subspaces_of(field: GF, n: int):
-    return all_subspaces(register_field(field), n)
-
-
 def superspaces(field: GF, lower, ambient_dim: int):
     """All subspaces of F^ambient containing the given RREF lower bound."""
     l = len(lower)
     if l == ambient_dim:
         return [tuple(lower)]
-    _, pivots = rref(field, list(lower)) if lower else ([], [])
-    comp_cols = [c for c in range(ambient_dim) if c not in pivots]
+    comp_cols = quotient_data(lower, ambient_dim)
     out = []
     for small in subspaces_of(field, len(comp_cols)):
         lift = []
@@ -313,53 +300,29 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def extend_to_dim(field: GF, lower, target_dim: int, ambient_dim: int):
     """One concrete subspace of the target dimension containing the bound."""
-    basis = list(lower)
+    basis = tuple(lower)
     for c in range(ambient_dim):
         if len(basis) == target_dim:
             break
         e = tuple(1 if i == c else 0 for i in range(ambient_dim))
         if not in_span(field, basis, e):
-            basis, _ = rref(field, basis + [e])
+            basis = span(field, basis + (e,))
     if len(basis) != target_dim:
         raise ArithmeticError("cannot extend to requested dimension")
-    return tuple(basis)
+    return basis
 
 
-def quotient_data(field: GF, sub, ambient_dim: int):
-    """Projection data for F^ambient / sub: returns (pivots, free columns).
+def quotient_data(sub, ambient_dim: int) -> list[int]:
+    """The free (non-pivot) columns of an RREF subspace of F^ambient.
 
     Quotient coordinates of v are the entries of (v reduced by sub) at the
     free columns.
     """
-    if not sub:
-        return [], list(range(ambient_dim))
-    _, pivots = rref(field, list(sub))
-    free = [c for c in range(ambient_dim) if c not in pivots]
-    return pivots, free
+    pivots = pivot_columns(sub)
+    return [c for c in range(ambient_dim) if c not in pivots]
 
 
 def project_to_quotient(field: GF, sub, free_cols, vec):
-    v = list(vec)
-    for row in sub:
-        c = next((i for i, x in enumerate(row) if x), None)
-        if c is not None and v[c]:
-            f = field.neg[v[c]]
-            v = [field.add[x][field.mul[f][y]] for x, y in zip(v, row)]
+    """Quotient coordinates of vec modulo the RREF subspace sub."""
+    v = _reduce(field, sub, vec)
     return tuple(v[c] for c in free_cols)
-
-
-def coords_in_basis(field: GF, basis, vec):
-    """Coordinates of vec in a given (not necessarily RREF) basis, or None."""
-    if not basis:
-        return () if not any(vec) else None
-    n = len(vec)
-    # solve basis^T x = vec by elimination on an augmented matrix
-    rows = [[basis[j][i] for j in range(len(basis))] + [vec[i]] for i in range(n)]
-    red, pivots = rref(field, [tuple(r) for r in rows])
-    k = len(basis)
-    if k in pivots:
-        return None
-    coords = [0] * k
-    for r, pc in zip(red, pivots):
-        coords[pc] = r[k]
-    return tuple(coords)

@@ -18,8 +18,10 @@ vanishes on some nonzero classes and only the slope is total).
 from __future__ import annotations
 
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 from .exactmath import CycloNum
@@ -28,13 +30,14 @@ from .gfield import (
     GF,
     BadReductionError,
     check_prime,
-    coords_in_basis,
     extend_to_dim,
     field_degree,
     field_for,
     gaussian_binomial,
     image_vectors,
+    in_span,
     mat_apply,
+    pivot_columns,
     project_to_quotient,
     quotient_data,
     span,
@@ -71,21 +74,17 @@ class Arrow:
 class QuiverWithRelations:
     """A heart quiver; vertex order matches the CaseLattice basis order.
 
-    A relation is a list of (coefficient, (outer, inner)) with both paths
-    sharing source and target; outer is applied after inner.
+    A relation is (outer, ((coeff, inner), ...)): the outer arrow composed
+    after the linear combination sum(coeff * inner) of inner arrows that
+    share one source and one target.  It holds when M_outer times that sum
+    is zero.  Each outer arrow carries at most one relation.
     """
 
     wtype: WeightedType
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
-    relations: tuple[tuple[tuple[CycloNum, tuple[str, str]], ...], ...]
+    relations: tuple[tuple[str, tuple[tuple[CycloNum, str], ...]], ...]
     conductor: int  # all matrix data of named objects lives in Q(zeta_conductor)
-
-    def arrow(self, label: str) -> Arrow:
-        for a in self.arrows:
-            if a.label == label:
-                return a
-        raise KeyError(label)
 
     def arrows_from(self, v: str):
         return [a for a in self.arrows if a.src == v]
@@ -124,17 +123,12 @@ def heart_quiver(wtype: WeightedType) -> QuiverWithRelations:
             # point relations p2 pi X1 = p1 pi X2 exist exactly when the
             # degree-2 point class sits in the computable window
             for j, (p1, p2) in enumerate(pts):
-                relations.append(
-                    (
-                        (p2, (f"pi{j + 1}", "X1")),
-                        (-p1, (f"pi{j + 1}", "X2")),
-                    )
-                )
+                relations.append((f"pi{j + 1}", ((p2, "X1"), (-p1, "X2"))))
     return QuiverWithRelations(
         wtype=wtype,
         vertices=lat.basis,
         arrows=tuple(arrows),
-        relations=tuple(tuple(r) for r in relations),
+        relations=tuple(relations),
         conductor=conductor,
     )
 
@@ -176,60 +170,44 @@ class QuiverRep:
         return self.relations_hold()
 
     def relations_hold(self) -> bool:
-        for rel in self.quiver.relations:
-            acc = None
-            for coeff, (outer, inner) in rel:
-                term = self._compose(outer, inner, coeff)
-                acc = term if acc is None else self._madd(acc, term)
-            if acc is not None and any(any(x for x in row) for row in self._nonzero(acc)):
-                return False
+        _, add, mul = _entry_ops(self.field, self.quiver.conductor)
+        for outer, terms in self.quiver.relations:
+            total = relation_sum(self.quiver, self.field, self.mats, terms)
+            for row in self.mats[outer]:
+                for col in zip(*total):
+                    if reduce(add, map(mul, row, col)) != 0:
+                        return False
         return True
 
-    def _nonzero(self, mat):
-        if self.field is EXACT:
-            return [[0 if x.is_zero() else 1 for x in row] for row in mat]
-        return mat
 
-    def _compose(self, outer, inner, coeff):
-        a_out = self.quiver.arrow(outer)
-        a_in = self.quiver.arrow(inner)
-        m_out, m_in = self.mats[outer], self.mats[inner]
-        rows = self.dims.get(a_out.tgt, 0)
-        cols = self.dims.get(a_in.src, 0)
-        mid = self.dims.get(a_in.tgt, 0)
-        if self.field is EXACT:
-            out = [
-                [
-                    coeff * sum((m_out[i][k] * m_in[k][j] for k in range(mid)), CycloNum.zero())
-                    for j in range(cols)
-                ]
-                for i in range(rows)
-            ]
-            return out
-        f = self.field
-        c = f.reduce_cyclo(coeff, self.quiver.conductor)
-        out = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                acc = 0
-                for k in range(mid):
-                    acc = f.add[acc][f.mul[m_out[i][k]][m_in[k][j]]]
-                row.append(f.mul[c][acc])
-            out.append(row)
-        return out
+def _entry_ops(field, conductor: int):
+    """(coefficient map, add, mul) on the matrix entries of a rep over field.
 
-    def _madd(self, a, b):
-        if self.field is EXACT:
-            return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-        f = self.field
-        return [[f.add[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    Exact entries are CycloNums; over GF(p^k) entries are codes and
+    cyclotomic coefficients reduce through the conductor's root of unity.
+    """
+    if field is EXACT:
+        return (lambda c: c), operator.add, operator.mul
+    return (
+        lambda c: field.reduce_cyclo(c, conductor),
+        lambda x, y: field.add[x][y],
+        lambda x, y: field.mul[x][y],
+    )
 
 
-def _zero_matrix(rows, cols, exact=True):
-    if exact:
-        return tuple(tuple(CycloNum.zero() for _ in range(cols)) for _ in range(rows))
-    return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
+def relation_sum(quiver: QuiverWithRelations, field, mats: dict, terms):
+    """sum(coeff * M_inner) over field, for the (coeff, inner) terms of a relation."""
+    lift, add, mul = _entry_ops(field, quiver.conductor)
+    total = None
+    for coeff, inner in terms:
+        c = lift(coeff)
+        term = [[mul(c, x) for x in row] for row in mats[inner]]
+        total = term if total is None else [list(map(add, r, t)) for r, t in zip(total, term)]
+    return total
+
+
+def _zero_matrix(rows, cols):
+    return tuple(tuple(CycloNum.zero() for _ in range(cols)) for _ in range(rows))
 
 
 def named_object(wtype: WeightedType, name: str, point_index: int = 1) -> QuiverRep:
@@ -530,20 +508,25 @@ def all_subreps(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> list[tuple[tuple[i
 
 
 def subrep_restriction(rep: QuiverRep, witness: dict) -> QuiverRep:
-    """The subrepresentation spanned by a witness, in its own bases."""
+    """The subrepresentation spanned by a witness, in its own bases.
+
+    The witness maps each vertex to a canonical RREF basis (as
+    SubrepClass.witness builds it), so the coordinates of a vector of the
+    subspace are its entries at the basis pivots.
+    """
     f = rep.field
     dims = {v: len(witness.get(v, ())) for v in rep.quiver.vertices}
     mats = {}
     for a in rep.quiver.arrows:
         src_basis = witness.get(a.src, ())
         tgt_basis = witness.get(a.tgt, ())
+        pivots = pivot_columns(tgt_basis)
         cols = []
         for v in src_basis:
             img = mat_apply(f, rep.mats[a.label], v)
-            coords = coords_in_basis(f, list(tgt_basis), img)
-            if coords is None:
+            if not in_span(f, tgt_basis, img):
                 raise ArithmeticError("witness is not arrow-invariant")
-            cols.append(coords)
+            cols.append(tuple(img[c] for c in pivots))
         mats[a.label] = tuple(
             tuple(col[i] for col in cols) for i in range(len(tgt_basis))
         )
@@ -551,14 +534,19 @@ def subrep_restriction(rep: QuiverRep, witness: dict) -> QuiverRep:
 
 
 def quotient_rep(rep: QuiverRep, witness: dict) -> QuiverRep:
-    """The quotient representation by a witness subrepresentation."""
+    """The quotient representation by a witness subrepresentation.
+
+    The witness maps each vertex to a canonical RREF basis (as
+    SubrepClass.witness builds it); quotient coordinates are the free
+    columns of a vector reduced against it.
+    """
     f = rep.field
     dims = {}
     proj = {}
     for v in rep.quiver.vertices:
         n = rep.dims.get(v, 0)
         sub = witness.get(v, ())
-        _, free = quotient_data(f, sub, n)
+        free = quotient_data(sub, n)
         dims[v] = len(free)
         proj[v] = (sub, free)
     mats = {}
@@ -586,22 +574,20 @@ class StabilitySpec:
 
     lattice: CaseLattice
     mode: str  # "phase" | "slope"
+    _key_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("phase", "slope"):
             raise ValueError("mode must be 'phase' or 'slope'")
 
     def key(self, cls):
-        cache = _KEY_CACHE.setdefault((self.lattice.wtype, self.mode), {})
+        cache = self._key_cache
         if cls not in cache:
             if self.mode == "phase":
                 cache[cls] = phase_key(self.lattice, cls)
             else:
                 cache[cls] = slope_mu(self.lattice, cls)
         return cache[cls]
-
-
-_KEY_CACHE: dict = {}
 
 
 def default_spec(wtype: WeightedType) -> StabilitySpec:
@@ -650,9 +636,8 @@ def is_stable(rep: QuiverRep, spec: StabilitySpec, strict: bool = True, max_q: i
     if status != "unstable" and semistable_hit is not None:
         status, witness = "semistable_only", semistable_hit
     shortcut = _imaginary_shortcut(rep, spec, classes, key_e, status)
-    label = rep.field.label() if rep.field is not EXACT else "exact"
     ok = status == "stable" or (not strict and status == "semistable_only")
-    return Verdict(status, witness, label, spec.mode, checked, shortcut, ok)
+    return Verdict(status, witness, rep.field.label(), spec.mode, checked, shortcut, ok)
 
 
 def _imaginary_shortcut(rep, spec, classes, key_e, status):
@@ -665,11 +650,7 @@ def _imaginary_shortcut(rep, spec, classes, key_e, status):
     if lat.case not in ((3, -1), (2, -2)):
         return None
     total = rep.kclass()
-    try:
-        units = im_units(lat, total)
-    except Exception:
-        return None
-    if units != 1:
+    if im_units(lat, total) != 1:
         return None
     zero = tuple(0 for _ in total)
     offender = False
@@ -748,8 +729,7 @@ def hn_filtration(rep: QuiverRep, spec: StabilitySpec, max_q: int = MAX_Q_ORACLE
     total = tuple(sum(d[i] for d, _ in factors) for i in range(len(rep.quiver.vertices)))
     if total != rep.kclass():
         raise HNTieError("filtration does not telescope to the total class")
-    label = rep.field.label() if rep.field is not EXACT else "exact"
-    return HNResult(factors, label, spec.mode)
+    return HNResult(factors, rep.field.label(), spec.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -782,19 +762,17 @@ def ext_quiver_consistency(wtype: WeightedType) -> bool:
     if wtype.epsilon == -2 and 1 < wtype.degree - a1 - a2 and ext_cm_closed_form(wtype, 1, 2):
         expected_rel = 1
     per_point = {}
-    for rel in q.relations:
-        label = rel[0][1][0]
-        per_point[label] = per_point.get(label, 0) + 1
+    for outer, _ in q.relations:
+        per_point[outer] = per_point.get(outer, 0) + 1
     for j, p in enumerate(pts):
         got = per_point.get(f"pi{j + 1}", 0)
         if got != expected_rel:
             return False
     # coefficient patterns must match the chain-level computation
-    relbyname = {rel[0][1][0]: rel for rel in q.relations}
+    terms_of = dict(q.relations)
     data = yoneda_relations(wtype)
     for j, pat in enumerate(data.point_patterns):
-        rel = relbyname[f"pi{j + 1}"]
-        coeffs = {path[1]: c for c, path in rel}
+        coeffs = {inner: c for c, inner in terms_of[f"pi{j + 1}"]}
         if coeffs["X1"] != pat["x1"] or coeffs["X2"] != pat["x2"]:
             return False
     if wtype.epsilon == -2 and ext_cc(wtype, 1, 1) == 2:
@@ -807,11 +785,7 @@ def ext_quiver_consistency(wtype: WeightedType) -> bool:
                 continue
             chi = sum((-1) ** i * ext_cm(wtype, jj, p, i)[0] for i in range(4))
             arrows = sum(1 for a in q.arrows if a.src == cv and a.tgt == f"PsiO(p{j + 1})")
-            rels = sum(
-                1
-                for rel in q.relations
-                if rel[0][1][0] == f"pi{j + 1}" and cv == "C(1)"
-            )
+            rels = sum(1 for outer, _ in q.relations if outer == f"pi{j + 1}" and cv == "C(1)")
             if chi != -arrows + rels:
                 return False
     return True
@@ -820,8 +794,9 @@ def ext_quiver_consistency(wtype: WeightedType) -> bool:
 def random_rep(quiver: QuiverWithRelations, p: int, rng: random.Random, max_dim: int = 3, inner_budget: int = 5, total_budget: int = MAX_TOTAL_DIM) -> QuiverRep:
     """A random finite-field representation satisfying the relations.
 
-    Point maps are sampled inside the solution space of the relations, so
-    the output is always a valid representation.
+    The outer arrow of each relation is drawn after the inner ones, row by
+    row among the functionals that vanish on the image of the relation
+    sum, so the output is always a valid representation.
     """
     gf = field_for(p, quiver.conductor)
     inner = [v for v in quiver.vertices if quiver.arrows_from(v)]
@@ -829,79 +804,34 @@ def random_rep(quiver: QuiverWithRelations, p: int, rng: random.Random, max_dim:
         dims = {v: rng.randint(0, max_dim) for v in quiver.vertices}
         if sum(dims[v] for v in inner) <= inner_budget and sum(dims.values()) <= total_budget:
             break
+    terms_of = dict(quiver.relations)
     mats = {}
-    for a in quiver.arrows:
-        if a.label.startswith("pi"):
-            continue
-        mats[a.label] = tuple(
-            tuple(rng.randrange(gf.q) for _ in range(dims[a.src])) for _ in range(dims[a.tgt])
-        )
-    # point maps: rows constrained to kill im(p2 X1 - p1 X2) when a relation exists
-    constraints = {}
-    for rel in quiver.relations:
-        label = rel[0][1][0]
-        acc = None
-        for coeff, (outer, inner_lbl) in rel:
-            a_in = quiver.arrow(inner_lbl)
-            c = gf.reduce_cyclo(coeff, quiver.conductor)
-            m = mats[inner_lbl]
-            term = [
-                [gf.mul[c][m[i][j]] for j in range(dims[a_in.src])]
-                for i in range(dims[a_in.tgt])
-            ]
-            if acc is None:
-                acc = term
-            else:
-                acc = [[gf.add[x][y] for x, y in zip(r1, r2)] for r1, r2 in zip(acc, term)]
-        constraints[label] = acc
-    for a in quiver.arrows:
-        if not a.label.startswith("pi"):
-            continue
-        n_src, n_tgt = dims[a.src], dims[a.tgt]
-        if a.label in constraints and constraints[a.label] is not None and n_src:
-            k = constraints[a.label]
-            img = span(gf, [tuple(k[i][j] for i in range(len(k))) for j in range(len(k[0]))] if k and k[0] else [])
-            # rows must annihilate the image: rows live in the dual of V/img
-            _, free = quotient_data(gf, img, n_src)
-            rows = []
-            for _ in range(n_tgt):
-                coeffs = [rng.randrange(gf.q) for _ in free]
-                row = [0] * n_src
-                # lift a random functional on the quotient through the projection
-                for cval, cpos in zip(coeffs, free):
-                    row[cpos] = cval
-                # subtract to kill the subspace: solve row . img_basis = 0
-                rows.append(tuple(_kill_subspace(gf, row, img)))
-            mats[a.label] = tuple(rows)
-        else:
-            mats[a.label] = tuple(
-                tuple(rng.randrange(gf.q) for _ in range(n_src)) for _ in range(n_tgt)
-            )
+    # stable sort: arrows that are the outer arrow of a relation come last
+    for a in sorted(quiver.arrows, key=lambda a: a.label in terms_of):
+        img = span(gf, zip(*relation_sum(quiver, gf, mats, terms_of[a.label]))) if a.label in terms_of else ()
+        free = quotient_data(img, dims[a.src])
+        rows = []
+        for _ in range(dims[a.tgt]):
+            row = [0] * dims[a.src]
+            for c in free:
+                row[c] = rng.randrange(gf.q)
+            rows.append(_kill_subspace(gf, row, img))
+        mats[a.label] = tuple(rows)
     rep = QuiverRep(quiver, gf, dims, mats)
     if not rep.validate():
         raise ArithmeticError("random representation violates relations")
     return rep
 
 
-def _kill_subspace(field: GF, row, sub_basis):
-    """Adjust a functional so it vanishes on the given RREF subspace."""
+def _kill_subspace(field: GF, row, basis):
+    """Adjust a functional that is zero at the pivots of an RREF basis so it vanishes on it.
+
+    Setting each pivot entry to minus the row's pairing with that basis row
+    suffices, because RREF rows are zero at each other's pivots.
+    """
     row = list(row)
-    for b in sub_basis:
-        val = 0
-        for x, y in zip(row, b):
-            if x and y:
-                val = field.add[val][field.mul[x][y]]
-        if val:
-            pivot = next(i for i, x in enumerate(b) if x)
-            # subtract val * (dual of pivot direction adjusted by b)
-            f = field.mul[val][field.inv[b[pivot]]]
-            row[pivot] = field.add[row[pivot]][field.neg[f]]
-    # verify
-    for b in sub_basis:
-        val = 0
-        for x, y in zip(row, b):
-            if x and y:
-                val = field.add[val][field.mul[x][y]]
-        if val:
-            raise ArithmeticError("could not annihilate subspace")
-    return row
+    for c, val in zip(pivot_columns(basis), mat_apply(field, basis, row)):
+        row[c] = field.neg[val]
+    if any(mat_apply(field, basis, row)):
+        raise ArithmeticError("could not annihilate subspace")
+    return tuple(row)

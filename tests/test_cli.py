@@ -182,6 +182,8 @@ ZERO_113 = {"field": "Fp", "p": 5, "type": "(1,1;3)", "dims": {"C(0)": 1}}
         ([1, 2], "must hold a JSON object"),
         ({k: v for k, v in ZERO_113.items() if k != "p"}, "malformed representation file: KeyError('p')"),
         (ZERO_113 | {"dims": [1]}, "malformed representation file: AttributeError"),
+        (ZERO_113 | {"mats": {"pi1": [[1, 2]]}}, "map pi1 (C(0) -> PsiO(p1)) must be a 0x1 matrix"),
+        (ZERO_113 | {"mats": {"p1": [[1]]}}, "'p1' is not an arrow of the (1,1;3) quiver"),
     ],
 )
 def test_hn_rep_file_errors(tmp_path, data, message):
@@ -190,3 +192,19 @@ def test_hn_rep_file_errors(tmp_path, data, message):
     proc = run_cli("hn", "--rep", str(path))
     assert_usage_error(proc)
     assert message in proc.stderr
+
+
+def test_hn_relation_failure(tmp_path):
+    # pi1 (p2 X1 - p1 X2) = p2 != 0 in F_25: a well-formed file that breaks a relation
+    data = {
+        "field": "Fp",
+        "p": 5,
+        "type": "(1,1;4)",
+        "dims": {"C(1)": 1, "C(0)": 1, "PsiO(p1)": 1},
+        "mats": {"X1": [[1]], "X2": [[0]], "pi1": [[1]]},
+    }
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("hn", "--rep", str(path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "representation violates the quiver relations\n"

@@ -13,7 +13,6 @@ from gepnerstab.extcalc import (
     WSplit,
     ext_cc,
     ext_cc_closed_form,
-    ext_cc_table,
     ext_cm,
     ext_cm_closed_form,
     resolution_for,

@@ -491,3 +491,33 @@ def test_subrep_restriction_and_quotient():
                 quot = quotient_rep(rep, cls.witness)
                 assert quot.validate()
                 assert tuple(a + b for a, b in zip(sub.kclass(), quot.kclass())) == rep.kclass()
+
+
+def test_validate_rejects_failing_relations():
+    from gepnerstab.quiverrep import relation_sum
+
+    # over GF: move row 0 of a point map off the annihilator of its relation's image
+    q = heart_quiver(T114)
+    rng = random.Random(5)
+    found = []
+    while not found:
+        rep = random_rep(q, 5, rng, max_dim=2, inner_budget=3, total_budget=8)
+        found = [
+            (outer, col)
+            for outer, terms in q.relations
+            if rep.mats[outer]
+            for col in zip(*relation_sum(q, rep.field, rep.mats, terms))
+            if any(col)
+        ]
+    assert rep.validate()
+    outer, col = found[0]
+    c = next(i for i, x in enumerate(col) if x)
+    row = list(rep.mats[outer][0])
+    row[c] = rep.field.add[row[c]][1]  # changes row . col by col[c] != 0
+    mats = dict(rep.mats) | {outer: (tuple(row),) + rep.mats[outer][1:]}
+    assert not QuiverRep(q, rep.field, rep.dims, mats).validate()
+    # exact: C(2)[-1] with one point-map entry shifted by 1
+    obj = named_object(T114, "C2m1")
+    ((first, *rest),) = obj.mats["pi1"]
+    mats = dict(obj.mats) | {"pi1": ((first + 1, *rest),)}
+    assert not QuiverRep(obj.quiver, obj.field, obj.dims, mats).validate()

@@ -339,11 +339,15 @@ def _object_notes(wtype: WeightedType, name: str) -> list[str]:
 def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
     """The representation in an "Fp" file; zero maps where the file gives none.
 
-    A label that is no arrow, or a map whose shape does not match the
-    dimensions, is a malformed file (ValueError), not a relation failure.
+    A dimension key that is no vertex, a label that is no arrow, or a map
+    whose shape does not match the dimensions, is a malformed file
+    (ValueError), not a relation failure.
     """
     gf = bounded_field(int(data["p"]), quiver.conductor, max_q)
     dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
+    for v in data["dims"]:
+        if v not in dims:
+            raise ValueError(f"{v!r} is not a vertex of the {quiver.wtype} quiver")
     if min(dims.values()) < 0:
         raise ValueError(f"negative dimension in {dims}")
     if sum(dims.values()) > MAX_TOTAL_DIM:  # refused before the zero maps are built

@@ -287,9 +287,7 @@ class CycloNum:
 
     def imag_part(self) -> "CycloNum":
         """Im(x) as a real element of Q(zeta_lcm(d,4))."""
-        n = math.lcm(self.d, 4)
-        i_unit = cyclo(4, 1).promote(n)
-        return (self.promote(n) - self.conjugate().promote(n)) / (2 * i_unit)
+        return (self - self.conjugate()) * (cyclo(4, -1) * Fraction(1, 2))
 
     def norm(self) -> Fraction:
         """Field norm down to Q (product of all Galois conjugates)."""

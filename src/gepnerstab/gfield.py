@@ -43,10 +43,15 @@ def _poly_mul_mod(a, b, modulus, p):
 
 
 def _find_irreducible(p: int, k: int) -> list[int]:
-    """Monic irreducible of degree k over F_p, low-to-high coefficients."""
+    """Monic irreducible of degree k <= 3 over F_p, low-to-high coefficients.
+
+    A polynomial of degree 2 or 3 is irreducible iff it has no root; that
+    test proves nothing for k > 3, so those degrees are refused.
+    """
+    if not 1 <= k <= 3:
+        raise ValueError(f"GF(p^k) is implemented for k <= 3, not k = {k}")
     if k == 1:
         return [0, 1]
-    # degree 2 and 3: irreducible iff no roots
     for tail in range(p**k):
         coeffs = []
         t = tail
@@ -55,8 +60,7 @@ def _find_irreducible(p: int, k: int) -> list[int]:
             t //= p
         poly = coeffs + [1]
         if all(sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p for x in range(p)):
-            if k <= 3:
-                return poly
+            return poly
     raise ArithmeticError(f"no irreducible of degree {k} found over F_{p}")
 
 
@@ -177,10 +181,18 @@ def field_degree(p: int, conductor: int) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
 def field_for(p: int, conductor: int) -> GF:
-    """The smallest GF(p^k) containing the conductor-th roots of unity."""
-    return GF(p, field_degree(p, conductor))
+    """The smallest GF(p^k) containing the conductor-th roots of unity.
+
+    One instance per field: conductors with the same field degree share
+    its tables and its subspace cache.
+    """
+    return _field(p, field_degree(p, conductor))
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, k: int) -> GF:
+    return GF(p, k)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ eigen identity  zg o tau = zeta . zg,  asserted exactly at construction.
 
 Phase conventions: zg values are exact cyclotomic numbers; phases are
 rational numbers q meaning the ray R_{>0} exp(i pi q).  Comparisons of
-(possibly irrational) phases inside a window are done exactly through
-sign tests of real cyclotomic numbers, never through floats.
+(possibly irrational) phases inside a window are exact: a float filter
+with a certified error bound decides when it can, and integer coordinates
+and sign tests of real cyclotomic numbers decide otherwise (see PhaseKey).
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .classify import FIVE_CASES, geometry_of, is_stacky_free, normalize_gcd
 from .exactmath import (
     CycloNum,
     RationalPhase,
     cyclo,
+    embed,
+    euler_phi,
     phase_of,
     sign_real,
 )
@@ -108,6 +112,11 @@ class CaseLattice:
     def theta_dagger(self) -> Fraction:
         """Window base in C_W units (theta - theta_W)."""
         return self.theta - self.theta_w
+
+    @cached_property
+    def _phase_form(self) -> "_PhaseForm":
+        """The form PhaseKey compares with, built on the first key."""
+        return _PhaseForm(self)
 
     def tau_apply(self, v) -> KClass:
         n = self.rank
@@ -332,38 +341,167 @@ def _rotation(lat: CaseLattice) -> CycloNum:
     return cyclo(2 * td.denominator, -td.numerator)
 
 
-class PhaseKey:
-    """Totally ordered phase of a nonzero charge inside (theta, theta+2].
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Ordering is exact: the charge is rotated by exp(-i pi theta_dagger),
-    the window becomes (0, 2], and comparisons reduce to sign tests of
-    real cyclotomic numbers (imaginary part sign, then a cross product).
+
+class _PhaseForm:
+    """The real bilinear form that PhaseKey compares with, exact and in floats.
+
+    With y_i = exp(-i pi theta_dagger) zg(e_i) the rotated charges of the
+    basis, F has rank + 2 rows of length rank:
+
+        F[i][j] = Im(conj(y_i) y_j)  (i < rank; antisymmetric),
+        F[rank][j] = Im(y_j),  F[rank + 1][j] = -Re(y_j).
+
+    For classes a, b with rotated charges w_a, w_b (the rotation has
+    modulus 1) this gives a^T F b = Im(conj(w_a) w_b), F[rank] . b = Im(w_b)
+    and F[rank + 1] . b = -Re(w_b).  Every entry lies in Q(zeta_conductor);
+    ``exact[i][s][j]`` is the power-basis coordinate ``slots[s]`` of
+    D * F[i][j] for one common denominator D > 0 (``slots`` are the
+    coordinates nonzero in some entry), ``approx[i][j]`` a float of
+    F[i][j], and ``err`` the filter constant derived in PhaseKey.
     """
 
-    __slots__ = ("w", "region", "_approx")
+    def __init__(self, lat: CaseLattice):
+        rank = lat.rank
+        rot = _rotation(lat)
+        ys = [z * rot for z in lat.zg_row]
+        zero = CycloNum.zero()
+        entries = [[zero] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                entries[i][j] = (ys[i].conjugate() * ys[j]).imag_part()
+                entries[j][i] = -entries[i][j]
+        entries.append([y.imag_part() for y in ys])
+        entries.append([-y.real_part() for y in ys])
+        n = math.lcm(*(x.d for row in entries for x in row))
+        entries = [[x.promote(n) for x in row] for row in entries]
+        den = math.lcm(*(c.denominator for row in entries for x in row for c in x.coeffs))
+        self.conductor = n
+        self.slots = tuple(k for k in range(euler_phi(n)) if any(x.coeffs[k] for row in entries for x in row))
+        self.exact = tuple(
+            tuple(tuple(int(x.coeffs[k] * den) for x in row) for k in self.slots) for row in entries
+        )
+        # a float of each distinct entry, and the largest distance to its exact value
+        floats: dict = {}
+        radius = Fraction(0)
+        for row in entries:
+            for x in row:
+                if x.coeffs not in floats:
+                    box = embed(x, 64)
+                    f = float((box.re_lo + box.re_hi) / 2)
+                    floats[x.coeffs] = f
+                    radius = max(radius, box.re_hi - Fraction(f), Fraction(f) - box.re_lo)
+        self.approx = tuple(tuple(floats[x.coeffs] for x in row) for row in entries)
+        gamma = (rank + 1) * _UNIT_ROUNDOFF / (1 - (rank + 1) * _UNIT_ROUNDOFF)
+        self.err = 2 * (float(radius) + 3 * gamma * max(map(abs, floats.values())))
+        self.im_row = _CrossRow(self, self.approx[rank], self.exact[rank], self.err)
+        self.neg_re_row = _CrossRow(self, self.approx[rank + 1], self.exact[rank + 1], self.err)
 
-    def __init__(self, w: CycloNum):
-        if w.is_zero():
-            raise ZeroDivisionError("phase of a zero charge")
-        self.w = w
-        im = w - w.conjugate()  # 2i Im(w)
-        s_im = 0 if im.is_zero() else sign_real(im * cyclo(4, -1) * Fraction(1, 2))
+    def row(self, a: KClass) -> "_CrossRow":
+        """b -> sign(Im(conj(w_a) w_b)) for the class a."""
+        terms = [(c, i) for i, c in enumerate(a) if c]
+        cols = range(len(a))
+        approx = tuple(sum(c * self.approx[i][j] for c, i in terms) for j in cols)
+        exact = tuple(
+            tuple(sum(c * self.exact[i][s][j] for c, i in terms) for j in cols) for s in range(len(self.slots))
+        )
+        return _CrossRow(self, approx, exact, self.err * sum(abs(c) for c in a))
+
+
+class _CrossRow:
+    """b -> sign(a^T F b) for one left argument a of a _PhaseForm."""
+
+    __slots__ = ("form", "approx", "exact", "err")
+
+    def __init__(self, form: _PhaseForm, approx, exact, err: float):
+        self.form = form
+        self.approx = approx  # float row a^T F~
+        self.exact = exact  # integer rows a^T F_s, one per slot
+        self.err = err  # filter constant times |a|_1
+
+    def sign(self, b: KClass, b_norm: int) -> int:
+        """The sign of a^T F b; b_norm is |b|_1."""
+        x = sum(map(mul, self.approx, b))
+        bound = self.err * b_norm
+        if x > bound:
+            return 1
+        if x < -bound:
+            return -1
+        return self.exact_sign(b)
+
+    def exact_sign(self, b: KClass) -> int:
+        """The sign of a^T F b without the float filter."""
+        coords = [sum(map(mul, row, b)) for row in self.exact]
+        if not any(coords):
+            return 0
+        full = [0] * euler_phi(self.form.conductor)
+        for s, c in zip(self.form.slots, coords):
+            full[s] = c
+        return sign_real(CycloNum(self.form.conductor, full))
+
+
+class PhaseKey:
+    """Totally ordered phase of a nonzero class inside (theta, theta+2].
+
+    The charge is rotated by exp(-i pi theta_dagger), so the window becomes
+    (0, 2].  The signs of Im(w) and Re(w) place the rotated charge w in a
+    region: (0, 1), {1}, (1, 2) or {2}.  Inside (0, 1) and (1, 2) key a
+    precedes key b iff Im(conj(w_a) w_b) > 0.  Each of these signs is a
+    sign of a^T F b for the lattice's _PhaseForm F (with a a unit vector
+    for the region), and each is exact:
+
+    1. Float filter.  x = fl(sum_j fl(sum_i a_i F~[i][j]) b_j), where the
+       row in brackets is computed once per key.  Let rho bound every
+       |F~[i][j] - F[i][j]| (certified through ``embed``), M = max |F~[i][j]|,
+       u = 2^-53 and gamma = (r+1)u / (1 - (r+1)u) with r the rank.  A float
+       dot product of length at most r has error at most gamma times the
+       sum of its |terms| (Higham, "Accuracy and Stability of Numerical
+       Algorithms", Thm. 3.1, for recursive summation; the compensated
+       summation of sum() from Python 3.12 on also meets it; the +1 covers
+       rounding an integer to a float).  So the row has error at most
+       gamma M |a|_1 per entry and entries at most (1 + gamma) M |a|_1, and
+
+           |x - a^T F b| <=   rho |a|_1 |b|_1             (the entries)
+                            + gamma M |a|_1 |b|_1           (the row)
+                            + gamma (1 + gamma) M |a|_1 |b|_1  (the dot)
+                          <= (rho + 3 gamma M) |a|_1 |b|_1.
+
+       The filter takes err = 2 (rho + 3 gamma M), the factor 2 absorbing
+       the few roundings made in computing the bound, and returns sign(x)
+       when |x| > err |a|_1 |b|_1.
+    2. Exact zero test.  D F = sum_s F_s zeta^s with integer matrices F_s
+       over the power basis of Q(zeta_N), which is a Q-basis, so
+       a^T F b = 0 iff every integer a^T F_s b is 0.  Ties decide
+       semistability, so they never rest on floats.
+    3. Otherwise ``sign_real`` of the exact value sum_s (a^T F_s b) zeta^s.
+
+    Keys compare only with keys of the same lattice.
+    """
+
+    __slots__ = ("_lat", "cls", "_norm", "region", "_row", "_approx")
+
+    def __init__(self, lat: CaseLattice, v):
+        form = lat._phase_form
+        self._lat = lat
+        self.cls = tuple(v)
+        self._norm = sum(abs(c) for c in self.cls)
+        s_im = form.im_row.sign(self.cls, self._norm)
         if s_im > 0:
             self.region = 0  # phases in (0, 1)
         elif s_im < 0:
             self.region = 2  # phases in (1, 2)
         else:
-            re_sign = sign_real(w)
-            self.region = 1 if re_sign < 0 else 3  # phase 1 resp. phase 2
+            s_re = -form.neg_re_row.sign(self.cls, self._norm)
+            if s_re == 0:
+                raise ZeroDivisionError("phase of a zero charge")
+            self.region = 1 if s_re < 0 else 3  # phase 1 resp. phase 2
+        self._row = form.row(self.cls)
         self._approx = None
 
     def _cross_sign(self, other: "PhaseKey") -> int:
         # sign of Im(conj(w1) w2); positive means self precedes other
-        x = self.w.conjugate() * other.w
-        im = x - x.conjugate()
-        if im.is_zero():
-            return 0
-        return sign_real(im * cyclo(4, -1) * Fraction(1, 2))
+        return self._row.sign(other.cls, other._norm)
 
     def __eq__(self, other):
         if self.region != other.region:
@@ -392,7 +530,7 @@ class PhaseKey:
 
     def approx(self) -> float:
         if self._approx is None:
-            v = complex(self.w)
+            v = complex(zg_class(self._lat, self.cls) * _rotation(self._lat))
             p = math.atan2(v.imag, v.real) / math.pi
             if p <= 0:
                 p += 2
@@ -405,7 +543,7 @@ class PhaseKey:
 
 def phase_key(lat: CaseLattice, v) -> PhaseKey:
     """PhaseKey of a nonzero class (rotated so the window starts at 0)."""
-    return PhaseKey(zg_class(lat, v) * _rotation(lat))
+    return PhaseKey(lat, v)
 
 
 # ---------------------------------------------------------------------------

@@ -440,13 +440,15 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     for a in q.arrows:
         if a.src in sinks:
             raise ResourceLimitError("sink aggregation requires arrows out of inner vertices only")
+    # (map, source) of each arrow into each vertex
+    into = {v: [(rep.mats[a.label], a.src) for a in q.arrows_into(v)] for v in verts}
     # inner vertices must come in dependency order (sources first)
     order: list[str] = []
     remaining = set(inner)
     while remaining:
         progressed = False
         for v in list(remaining):
-            if all(a.src not in remaining for a in q.arrows_into(v)):
+            if all(src not in remaining for _, src in into[v]):
                 order.append(v)
                 remaining.discard(v)
                 progressed = True
@@ -455,8 +457,8 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
 
     def lower_bound(v, chosen):
         bound_vecs = []
-        for a in q.arrows_into(v):
-            bound_vecs.extend(image_vectors(f, rep.mats[a.label], chosen[a.src]))
+        for mat, src in into[v]:
+            bound_vecs.extend(image_vectors(f, mat, chosen[src]))
         return span(f, bound_vecs)
 
     # signature -> [inner choices, representative choice, its sink bounds]

@@ -184,6 +184,7 @@ ZERO_113 = {"field": "Fp", "p": 5, "type": "(1,1;3)", "dims": {"C(0)": 1}}
         (ZERO_113 | {"dims": [1]}, "malformed representation file: AttributeError"),
         (ZERO_113 | {"mats": {"pi1": [[1, 2]]}}, "map pi1 (C(0) -> PsiO(p1)) must be a 0x1 matrix"),
         (ZERO_113 | {"mats": {"p1": [[1]]}}, "'p1' is not an arrow of the (1,1;3) quiver"),
+        (ZERO_113 | {"dims": {"C(0)": 1, "C(9)": 4}}, "'C(9)' is not a vertex of the (1,1;3) quiver"),
     ],
 )
 def test_hn_rep_file_errors(tmp_path, data, message):

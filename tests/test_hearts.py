@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gepnerstab.classify import enumerate_types
-from gepnerstab.exactmath import cyclo, phase_of
+from gepnerstab.exactmath import cyclo, phase_of, sign_real
 from gepnerstab.hearts import (
     CaseLattice,
     UnsupportedCaseError,
+    _rotation,
     build_lattice,
     clifford_predicate,
     crucial_inequality,
@@ -281,6 +283,58 @@ def test_phase_key_ordering():
     assert k_tau < k_c2m1
     with pytest.raises(ZeroDivisionError):
         phase_key(L, (1, 1, -1, -1, 0, 0) if False else (0, 0, 0, 0, 0, 0))
+
+
+def _exact_sign(x):
+    return sign_real(x) if not x.is_zero() else 0
+
+
+def _im(x):
+    return (x - x.conjugate()) * cyclo(4, -1) * Fraction(1, 2)
+
+
+def _reference_region(w):
+    """0, 1, 2, 3 for phases in (0, 1), {1}, (1, 2), {2} of the rotated charge."""
+    s_im = _exact_sign(_im(w))
+    if s_im:
+        return 0 if s_im > 0 else 2
+    return 1 if _exact_sign(w) < 0 else 3
+
+
+@pytest.mark.parametrize("t", [t for t in ALL_TYPES if t.n == 2], ids=str)
+def test_phase_key_matches_exact_cross_sign(t):
+    # reference: regions and sign(Im(conj(w_a) w_b)) by CycloNum products and sign_real
+    L = lattice_for(t)
+    rng = random.Random(5)
+    classes = []
+    while len(classes) < 24:
+        v = tuple(rng.randint(-3, 3) for _ in range(L.rank))
+        w = zg_class(L, v) * _rotation(L)
+        if w.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                phase_key(L, v)
+            continue
+        classes += [v, tuple(2 * x for x in v), tuple(3 * x for x in v)]  # scaled copies tie
+    ws = [zg_class(L, v) * _rotation(L) for v in classes]
+    keys = [phase_key(L, v) for v in classes]
+    form = L._phase_form
+    ties = 0
+    for v, w, k in zip(classes, ws, keys):
+        assert form.im_row.exact_sign(v) == _exact_sign(_im(w))
+        assert -form.neg_re_row.exact_sign(v) == _exact_sign(w.real_part())
+        for b, wb, kb in zip(classes, ws, keys):
+            cross = _exact_sign(_im(w.conjugate() * wb))
+            assert k._row.exact_sign(b) == cross
+            ra, rb = _reference_region(w), _reference_region(wb)
+            if ra != rb:
+                expect_eq, expect_lt = False, ra < rb
+            else:
+                expect_eq = ra in (1, 3) or cross == 0
+                expect_lt = ra in (0, 2) and cross > 0
+            assert (k == kb) == expect_eq, (v, b)
+            assert (k < kb) == expect_lt, (v, b)
+            ties += expect_eq
+    assert ties >= 3 * len(classes)  # each class ties with itself and its scaled copies
 
 
 def test_phase_key_total_phases_shift():

@@ -57,6 +57,23 @@ def test_gf_rejects_non_prime_characteristic():
             is_good_prime(T113, p)
 
 
+def test_field_for_one_instance_per_field():
+    # conductors 8 and 6 both need F_25 at p = 5; conductor 4 needs only F_5
+    assert field_for(5, 8) is field_for(5, 6)
+    assert field_for(5, 8).label() == "F_25 (= F_5^2)"
+    assert field_for(5, 4) is field_for(5, 1)
+    assert field_for(5, 4) is not field_for(5, 8)
+    assert field_for(7, 6) is not field_for(5, 6)
+
+
+def test_gf_refuses_degree_above_three():
+    # the no-root test proves irreducibility only up to degree 3
+    assert GF(2, 3).q == 8
+    for k in (4, 5):
+        with pytest.raises(ValueError, match=f"k <= 3, not k = {k}"):
+            GF(2, k)
+
+
 def test_reduce_rep_refuses_large_field_before_building_it():
     obj = named_object(T114, "C2m1")  # conductor 8: F_127 needs k = 2
     with pytest.raises(ResourceLimitError, match="field size 16129 exceeds 130"):

@@ -434,9 +434,6 @@ class ComplexBox:
     def width(self) -> Fraction:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
-    def contains_zero(self) -> bool:
-        return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
-
     def abs_lower(self) -> Fraction:
         def iv_abs(lo, hi):
             if lo <= 0 <= hi:

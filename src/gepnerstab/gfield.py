@@ -9,8 +9,13 @@ through a chosen multiplicative root of unity.
 
 A subspace is always its canonical RREF basis, as ``span`` returns it, so
 a dict key.  Every function that takes a subspace relies on this: pivots
-are read straight off the rows (``pivot_columns``), and membership and
-quotient projection share one reduce loop against those pivots.
+are read straight off the rows (``pivot_columns``), and membership,
+quotient projection and ``extension_rank`` share one reduce loop against
+those pivots.  The first rows of such a basis are again one.  The
+subrepresentation search relies on this: it extends the image of a
+basis's prefix by the images of the last row, and at its leaves reads only
+the resulting dimension (``extension_rank``).  So it builds an RREF only
+for prefixes, inner-vertex bounds and witnesses.
 """
 
 from __future__ import annotations
@@ -224,17 +229,18 @@ def span(field: GF, vectors) -> tuple[tuple[int, ...], ...]:
 
 
 def pivot_columns(basis) -> list[int]:
-    """The pivot column of each row of an RREF basis: its first nonzero entry."""
-    return [next(c for c, x in enumerate(row) if x) for row in basis]
+    """The pivot column of each row of an RREF basis: its first nonzero entry, a 1."""
+    return [row.index(1) for row in basis]
 
 
 def _reduce(field: GF, basis, vec) -> list[int]:
     """vec minus its component along the RREF basis; zero at the basis pivots."""
+    add, mul = field.add, field.mul
     v = list(vec)
     for row, c in zip(basis, pivot_columns(basis)):
         if v[c]:
-            f = field.neg[v[c]]
-            v = [field.add[x][field.mul[f][y]] for x, y in zip(v, row)]
+            times = mul[field.neg[v[c]]]
+            v = [add[x][times[y]] for x, y in zip(v, row)]
     return v
 
 
@@ -245,24 +251,38 @@ def in_span(field: GF, basis, vec) -> bool:
 
 def mat_apply(field: GF, mat, vec):
     """mat rows x cols applied to a coordinate vector (length cols)."""
+    add, mul = field.add, field.mul
     out = []
     for row in mat:
         acc = 0
         for a, b in zip(row, vec):
             if a and b:
-                acc = field.add[acc][field.mul[a][b]]
+                acc = add[acc][mul[a][b]]
         out.append(acc)
     return tuple(out)
 
 
-def image_vectors(field: GF, mat, basis):
-    """Images of basis vectors of a subspace under a vertex map."""
-    return [mat_apply(field, mat, v) for v in basis]
+def extension_rank(field: GF, basis, vecs) -> int:
+    """Dimension of the span of an RREF basis and vecs, without its RREF.
+
+    The vectors reduced against the basis vanish at its pivots, so they
+    add their own rank: one vector adds 1 unless it reduces to zero, and
+    only two or more are row-reduced among themselves.
+    """
+    new = []
+    for v in vecs:
+        w = _reduce(field, basis, v)
+        if any(w):
+            new.append(w)
+    return len(basis) + (len(new) if len(new) < 2 else len(span(field, new)))
 
 
 @lru_cache(maxsize=None)
 def subspaces_of(field: GF, n: int):
-    """All subspaces of F_q^n as canonical RREF tuples (cached per field)."""
+    """All subspaces of F_q^n as canonical RREF tuples (cached per field).
+
+    A tuple, since every caller shares the cached value.
+    """
     q = field.q
     out = [()]
     for r in range(1, n + 1):
@@ -279,11 +299,13 @@ def subspaces_of(field: GF, n: int):
                 for (i, c), v in zip(free_positions, values):
                     rows[i][c] = v
                 out.append(tuple(tuple(row) for row in rows))
-    return out
+    return tuple(out)
 
 
 def superspaces(field: GF, lower, ambient_dim: int):
     """All subspaces of F^ambient containing the given RREF lower bound."""
+    if not lower:
+        return subspaces_of(field, ambient_dim)
     l = len(lower)
     if l == ambient_dim:
         return [tuple(lower)]

@@ -138,10 +138,6 @@ class GradedMF:
     p1_module: GradedFreeModule
     maps: tuple[tuple[tuple[Poly, ...], ...], tuple[tuple[Poly, ...], ...]] | None = None
 
-    @property
-    def has_maps(self) -> bool:
-        return self.maps is not None
-
 
 def zg(mf: GradedMF) -> CycloNum:
     """Supertrace central charge from shift data."""

@@ -118,16 +118,6 @@ class Poly:
     def divisible_by_var(self, i: int) -> bool:
         return bool(self.terms) and all(m[i] > 0 for m in self.terms)
 
-    def divide_by_var(self, i: int) -> "Poly":
-        if not self.divisible_by_var(i):
-            raise ValueError("not divisible by that variable")
-        out = {}
-        for m, c in self.terms.items():
-            mm = list(m)
-            mm[i] -= 1
-            out[tuple(mm)] = c
-        return Poly(self.nvars, out)
-
     # -- reduction modulo one polynomial --------------------------------------
 
     def reduce_mod(self, w: "Poly") -> "Poly":

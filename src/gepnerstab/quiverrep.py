@@ -31,10 +31,10 @@ from .gfield import (
     BadReductionError,
     check_prime,
     extend_to_dim,
+    extension_rank,
     field_degree,
     field_for,
     gaussian_binomial,
-    image_vectors,
     in_span,
     mat_apply,
     pivot_columns,
@@ -430,6 +430,16 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     is expanded once, after the search.  The result keeps the order in
     which a per-choice expansion would first meet each dimension vector.
     Witnesses are lazy (see SubrepClass).
+
+    Bounds are built along RREF prefixes.  Every vertex is fed from at
+    most one source vertex (other shapes are refused), and the first rows
+    of a canonical RREF basis U are again one, so the image of U at a
+    target is the image of U[:-1] plus the images of U[-1].  The images of
+    prefixes are kept in a per-call table, each one reused by all its
+    children.  A leaf reads only the dimension of each sink bound: the
+    prefix's rank, plus the rank the reduced images of U[-1] add.  The
+    RREF sink bounds are built only for a signature's first leaf, whose
+    choice becomes the witness.
     """
     _check_guard(rep, max_q)
     q = rep.quiver
@@ -440,47 +450,66 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     for a in q.arrows:
         if a.src in sinks:
             raise ResourceLimitError("sink aggregation requires arrows out of inner vertices only")
-    # (map, source) of each arrow into each vertex
-    into = {v: [(rep.mats[a.label], a.src) for a in q.arrows_into(v)] for v in verts}
-    # inner vertices must come in dependency order (sources first)
+    # source vertex and its maps, per vertex with arrows in; a target of
+    # dimension 0 keeps bound () and gets no entry
+    feed: dict = {}
+    sources: dict = {}
+    for v in verts:
+        arrows = q.arrows_into(v)
+        sources[v] = {a.src for a in arrows}
+        if len(sources[v]) > 1:
+            raise ResourceLimitError(f"{v} is fed from {len(sources[v])} vertices; prefix bounds need one")
+        if arrows and rep.dims.get(v, 0):
+            feed[v] = (arrows[0].src, [rep.mats[a.label] for a in arrows])
+    # inner vertices in dependency order (sources first)
     order: list[str] = []
-    remaining = set(inner)
-    while remaining:
-        progressed = False
-        for v in list(remaining):
-            if all(src not in remaining for _, src in into[v]):
-                order.append(v)
-                remaining.discard(v)
-                progressed = True
-        if not progressed:
+    while len(order) < len(inner):
+        ready = [v for v in inner if v not in order and sources[v] <= set(order)]
+        if not ready:
             raise ResourceLimitError("quiver has a cycle through inner vertices")
+        order += ready
 
-    def lower_bound(v, chosen):
-        bound_vecs = []
-        for mat, src in into[v]:
-            bound_vecs.extend(image_vectors(f, mat, chosen[src]))
-        return span(f, bound_vecs)
+    images: dict = {v: {(): ()} for v in feed}  # target -> source subspace -> RREF image
+
+    def image(v, u):
+        img = images[v].get(u)
+        if img is None:
+            new = tuple(mat_apply(f, m, u[-1]) for m in feed[v][1])
+            img = images[v][u] = span(f, image(v, u[:-1]) + new)
+        return img
+
+    def bound(v, chosen):
+        return image(v, chosen[feed[v][0]]) if v in feed else ()
+
+    fed_sinks = [(i, s, *feed[s]) for i, s in enumerate(sinks) if s in feed]
+
+    def sink_bound_dims(chosen):
+        dims = [0] * len(sinks)
+        for i, s, src, mats in fed_sinks:
+            u = chosen[src]
+            if u:
+                dims[i] = extension_rank(f, image(s, u[:-1]), [mat_apply(f, m, u[-1]) for m in mats])
+        return tuple(dims)
 
     # signature -> [inner choices, representative choice, its sink bounds]
     groups: dict = {}
 
-    def rec(idx, chosen):
+    def rec(idx, chosen, inner_dims):
         if idx == len(order):
-            bounds = [lower_bound(s, chosen) for s in sinks]
-            sig = (tuple(len(chosen[v]) for v in order), tuple(len(b) for b in bounds))
+            sig = (inner_dims, sink_bound_dims(chosen))
             group = groups.get(sig)
             if group is None:
-                groups[sig] = [1, dict(chosen), bounds]
+                groups[sig] = [1, dict(chosen), [bound(s, chosen) for s in sinks]]
             else:
                 group[0] += 1
             return
         v = order[idx]
-        for u in superspaces(f, lower_bound(v, chosen), rep.dims.get(v, 0)):
+        for u in superspaces(f, bound(v, chosen), rep.dims.get(v, 0)):
             chosen[v] = u
-            rec(idx + 1, chosen)
+            rec(idx + 1, chosen, inner_dims + (len(u),))
         del chosen[v]
 
-    rec(0, {})
+    rec(0, {}, ())
 
     slot = {v: i for i, v in enumerate(verts)}
     sink_dims = [rep.dims.get(s, 0) for s in sinks]

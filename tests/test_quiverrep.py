@@ -1,12 +1,24 @@
 import random
+from itertools import product
 
 import pytest
 
-from gepnerstab.gfield import GF, field_for, gaussian_binomial, subspaces_of
+from gepnerstab.gfield import (
+    GF,
+    extension_rank,
+    field_for,
+    gaussian_binomial,
+    in_span,
+    mat_apply,
+    span,
+    subspaces_of,
+)
 from gepnerstab.hearts import lattice_for
 from gepnerstab.mfcore import WeightedType
 from gepnerstab.quiverrep import (
+    Arrow,
     QuiverRep,
+    QuiverWithRelations,
     ResourceLimitError,
     StabilitySpec,
     all_subreps,
@@ -99,6 +111,18 @@ def test_subspace_counts():
     subs = subspaces_of(f, 2)
     assert len(subs) == 2 + gaussian_binomial(2, 1, 5)  # 0, lines, plane
     assert len(subspaces_of(f, 3)) == 2 + 2 * gaussian_binomial(3, 1, 5)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_extension_rank_matches_span(k):
+    """The leaf rank equals the dimension of the full span, for 0 to 3 extra vectors."""
+    f = GF(5, k)
+    rng = random.Random(k)
+    for basis in subspaces_of(f, 3)[:: 7 * k]:
+        for count in range(4):
+            # entries drawn from {0, 1} too, so extra vectors often fall in the span
+            vecs = [tuple(rng.choice((0, 1, rng.randrange(f.q))) for _ in range(3)) for _ in range(count)]
+            assert extension_rank(f, basis, vecs) == len(span(f, list(basis) + vecs))
 
 
 # -- quiver shapes -------------------------------------------------------------
@@ -228,66 +252,83 @@ def test_subreps_of_zero_rep():
     assert all_subreps(rep) == [((0, 0, 0, 0), 1)]
 
 
+def _bruteforce_subreps(rep) -> dict:
+    """Dimension vector -> count, over every tuple of subspaces closed under the arrows."""
+    q, f = rep.quiver, rep.field
+    out: dict = {}
+    for combo in product(*(subspaces_of(f, rep.dims.get(v, 0)) for v in q.vertices)):
+        chosen = dict(zip(q.vertices, combo))
+        if all(
+            in_span(f, chosen[a.tgt], mat_apply(f, rep.mats[a.label], vec))
+            for a in q.arrows
+            for vec in chosen[a.src]
+        ):
+            key = tuple(len(u) for u in combo)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
 def test_subrep_oracle_against_bruteforce():
     """Cross-check the aggregated enumeration against a naive one."""
-    from itertools import product
-
-    from gepnerstab.gfield import in_span, mat_apply, span, subspaces_of
-
     rng = random.Random(3)
     q = heart_quiver(T113)
-    f = field_for(5, q.conductor)
     for _ in range(5):
         rep = random_rep(q, 5, rng, max_dim=2, inner_budget=2, total_budget=6)
-        fast = dict(all_subreps(rep))
-        slow: dict = {}
-        spaces = [subspaces_of(f, rep.dims.get(v, 0)) for v in q.vertices]
-        for combo in product(*spaces):
-            chosen = dict(zip(q.vertices, combo))
-            ok = True
-            for a in q.arrows:
-                for vec in chosen[a.src]:
-                    if not in_span(f, chosen[a.tgt], mat_apply(f, rep.mats[a.label], vec)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                key = tuple(len(chosen[v]) for v in q.vertices)
-                slow[key] = slow.get(key, 0) + 1
-        assert fast == slow
+        assert dict(all_subreps(rep)) == _bruteforce_subreps(rep)
 
 
 def test_subrep_oracle_against_bruteforce_with_relations():
     """Same cross-check on the two-step quiver, where bounds chain."""
-    from itertools import product
-
-    from gepnerstab.gfield import in_span, mat_apply, subspaces_of
-
     rng = random.Random(23)
     q = heart_quiver(T114)
-    f = field_for(5, q.conductor)
     for _ in range(3):
         rep = random_rep(q, 5, rng, max_dim=2, inner_budget=3, total_budget=7)
         if rep.total_dim() == 0:
             continue
-        fast = dict(all_subreps(rep))
-        slow: dict = {}
-        spaces = [subspaces_of(f, rep.dims.get(v, 0)) for v in q.vertices]
-        for combo in product(*spaces):
-            chosen = dict(zip(q.vertices, combo))
-            ok = True
-            for a in q.arrows:
-                for vec in chosen[a.src]:
-                    if not in_span(f, chosen[a.tgt], mat_apply(f, rep.mats[a.label], vec)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                key = tuple(len(chosen[v]) for v in q.vertices)
-                slow[key] = slow.get(key, 0) + 1
-        assert fast == slow
+        assert dict(all_subreps(rep)) == _bruteforce_subreps(rep)
+
+
+@pytest.mark.parametrize(
+    "pi1, pi2",
+    [
+        # pi1 zero: every image of the last row is already in the prefix's
+        (((0, 0, 0), (0, 0, 0)), ((1, 2, 0), (0, 3, 4))),
+        # pi1 of rank 1: images are nonzero but repeat the prefix's
+        (((1, 2, 3), (2, 4, 1)), ((0, 1, 1), (1, 0, 4))),
+        # pi1 kills the pivot row (1, 0, 0), pi2 the row (0, 1, 2)
+        (((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 2, 4))),
+    ],
+    ids=["zero", "rank1", "pivot-row-kernel"],
+)
+def test_subrep_prefix_ranks_on_degenerate_maps(pi1, pi2):
+    """Sink bound dimensions along RREF prefixes of length up to 3.
+
+    With C(0) of dimension 3 a leaf's basis has up to three rows, so its
+    bound extends a prefix image of two rows; the degenerate maps make the
+    last row's image fall inside that prefix image.
+    """
+    q = heart_quiver(T214)
+    f = field_for(5, q.conductor)
+    assert f.q == 5
+    rep = QuiverRep(q, f, {"C(0)": 3, "PsiO(p1)": 2, "PsiO(p2)": 2}, {"pi1": pi1, "pi2": pi2})
+    assert rep.validate()
+    assert dict(all_subreps(rep)) == _bruteforce_subreps(rep)
+    for dims, cls in subrep_classes(rep).items():
+        assert subrep_restriction(rep, cls.witness).dim_vector() == dims
+
+
+def test_subrep_classes_refuses_two_source_target():
+    q = QuiverWithRelations(
+        wtype=T113,
+        vertices=("A", "B", "C"),
+        arrows=(Arrow("A", "C", "a"), Arrow("B", "C", "b")),
+        relations=(),
+        conductor=1,
+    )
+    f = field_for(5, 1)
+    rep = QuiverRep(q, f, {"A": 1, "B": 1, "C": 1}, {"a": ((1,),), "b": ((1,),)})
+    with pytest.raises(ResourceLimitError, match="fed from 2 vertices"):
+        subrep_classes(rep)
 
 
 def test_phase_key_order_matches_float_angles():

@@ -5,6 +5,10 @@ or a stability claim does not hold), 2 on usage errors.  Every subcommand
 can emit a machine-readable report with --json; exact values are
 serialized losslessly ({d, coeffs} for cyclotomic numbers, "p/q" strings
 for rationals).
+
+Each subcommand imports the modules it uses inside its handler, so a cold
+call compiles only those: table1 and classify never load the heart
+lattices, and only stability and hn load the finite fields and quivers.
 """
 
 from __future__ import annotations
@@ -15,37 +19,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .classify import table_rows
-from .exactmath import CycloNum, embed
-from .extcalc import ext_cc, ext_cm
-from .geomcharge import ChClass, constants, mukai, solve_for_type, zg_geom
-from .gfield import is_prime
-from .hearts import (
-    UnsupportedCaseError,
-    finite_phases,
-    lattice_for,
-    phase_table,
-    slope_mu,
-    verify_gepner,
-    window_inequalities_hold,
-    window_property_report,
-    zg_class,
-    zg_class_absolute,
-)
+from .exactmath import CycloNum, ResourceLimitError, embed
 from .mfcore import WeightedType
-from .quiverrep import (
-    MAX_TOTAL_DIM,
-    QuiverRep,
-    ResourceLimitError,
-    StabilitySpec,
-    bounded_field,
-    default_spec,
-    heart_quiver,
-    hn_filtration,
-    is_stable,
-    named_object,
-    reduce_rep,
-)
 
 
 @dataclass
@@ -101,6 +76,8 @@ def _emit(args, report: Report, lines: list[str], code: int = 0) -> int:
 
 
 def cmd_table1(args) -> int:
+    from .classify import table_rows
+
     rows = table_rows((2, 3, 4), 6)
     lines = [f"{'n':>2} {'eps':>4}  {'weights':<12} {'d':>2}  {'W':<32} X"]
     for r in rows:
@@ -112,6 +89,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import table_rows
+
     lo, hi = (int(v) for v in args.n.split(".."))
     rows = table_rows(range(lo, hi + 1), args.dmax)
     lines = [
@@ -122,6 +101,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_charge(args) -> int:
+    from .geomcharge import ChClass, constants, mukai, solve_for_type, zg_geom
+
     wtype = WeightedType.parse(args.type)
     if wtype.n not in (3, 4):
         print("charge operates on curve/surface types (n = 3 or 4); "
@@ -149,6 +130,8 @@ def cmd_charge(args) -> int:
         f"C_W     = {_render_cyclo(cst.c_w)}   on ray exp(i pi {cst.theta_w})",
     ]
     if dim == 2:
+        from .hearts import lattice_for
+
         v = mukai(e, lattice_for(wtype).geometry.h_square)
         results["mukai"] = [str(v.v0), str(v.v1h), str(v.v2)]
         lines.append(f"Mukai   = ({v.v0}, {v.v1h}, {v.v2})")
@@ -156,6 +139,8 @@ def cmd_charge(args) -> int:
 
 
 def cmd_zg(args) -> int:
+    from .hearts import lattice_for, slope_mu, zg_class, zg_class_absolute
+
     wtype = WeightedType.parse(args.type)
     lat = lattice_for(wtype)
     v = _parse_class(args.cls)
@@ -184,6 +169,8 @@ def cmd_zg(args) -> int:
 
 
 def cmd_gepner_check(args) -> int:
+    from .hearts import lattice_for, verify_gepner, window_property_report, zg_class
+
     wtype = WeightedType.parse(args.type)
     lat = lattice_for(wtype)
     ok = verify_gepner(lat)
@@ -210,6 +197,9 @@ def cmd_gepner_check(args) -> int:
 
 
 def cmd_phases(args) -> int:
+    from .geomcharge import constants
+    from .hearts import finite_phases, lattice_for, phase_table, window_inequalities_hold
+
     wtype = WeightedType.parse(args.type)
     if wtype.n == 1 or (wtype.n == 2 and wtype.epsilon >= 0):
         table = finite_phases(wtype)
@@ -231,6 +221,8 @@ def cmd_phases(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    from .extcalc import ext_cc, ext_cm
+
     wtype = WeightedType.parse(args.type)
     src = args.src.strip()
     tgt = args.tgt.strip()
@@ -265,6 +257,8 @@ def cmd_ext(args) -> int:
 
 def _parse_primes(text: str, max_q: int) -> list[int] | None:
     """The listed primes, or None unless every entry is a prime <= max_q."""
+    from .gfield import is_prime
+
     try:
         primes = [int(p) for p in text.split(",")]
     except ValueError:
@@ -274,6 +268,8 @@ def _parse_primes(text: str, max_q: int) -> list[int] | None:
 
 
 def cmd_stability(args) -> int:
+    from .quiverrep import default_spec, is_stable, named_object, reduce_rep
+
     wtype = WeightedType.parse(args.type)
     primes = _parse_primes(args.primes, args.max_q)
     if primes is None:
@@ -320,6 +316,8 @@ def cmd_stability(args) -> int:
 
 def _object_notes(wtype: WeightedType, name: str) -> list[str]:
     if name == "C2m1" and wtype.weights == (3, 1) and wtype.degree == 6:
+        from .hearts import lattice_for, zg_class
+
         lat = lattice_for(wtype)
         adopted = tuple(-x for x in lat.class_of_c(2))
         z_adopted = zg_class(lat, adopted)
@@ -343,6 +341,8 @@ def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
     whose shape does not match the dimensions, is a malformed file
     (ValueError), not a relation failure.
     """
+    from .quiverrep import MAX_TOTAL_DIM, QuiverRep, bounded_field
+
     gf = bounded_field(int(data["p"]), quiver.conductor, max_q)
     dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
     for v in data["dims"]:
@@ -369,6 +369,9 @@ def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
 
 
 def cmd_hn(args) -> int:
+    from .hearts import lattice_for
+    from .quiverrep import StabilitySpec, default_spec, heart_quiver, hn_filtration
+
     try:
         with open(args.rep) as fh:
             data = json.load(fh)
@@ -478,7 +481,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return HANDLERS[args.cmd](args)
-    except (UnsupportedCaseError, ValueError, ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -12,9 +12,12 @@ Conventions used throughout the package:
   phases are plain ``Fraction`` objects (exact arithmetic and comparison);
   irrational phases are returned as floats with certified error < 1e-9.
 * Numeric enclosures are axis-aligned complex boxes with Fraction
-  endpoints.  Transcendental enclosures (pi, cos, sin) come from
-  mpmath's interval context; everything else is exact rational interval
-  arithmetic, so containment is certified end to end.
+  endpoints.  cos and sin of 2*pi*k/d are enclosed by integer fixed-point
+  code (pi from Machin's formula, exact reduction to an octant, Taylor
+  series with argument halving; Brent and Zimmermann, Modern Computer
+  Arithmetic, ch. 4) whose error bound is proved in ``_octant_cos_sin``;
+  everything else is exact rational interval arithmetic, so containment
+  is certified end to end.
 """
 
 from __future__ import annotations
@@ -24,13 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-
 RationalPhase = Fraction
 
 
 class ZeroValueError(ValueError):
     """Raised when an operation needs a nonzero value (e.g. phase of 0)."""
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when an input would exceed a size bound (field size, dimension)."""
 
 
 # ---------------------------------------------------------------------------
@@ -398,25 +403,119 @@ def cyclo(d: int, k: int) -> CycloNum:
 # ---------------------------------------------------------------------------
 
 
-def _raw_to_fraction(t) -> Fraction:
-    sign, man, exp, bc = t
-    v = Fraction(int(man)) * (Fraction(2) ** int(exp))
-    return -v if sign else v
+@lru_cache(maxsize=None)
+def _pi_fixed(w: int) -> int:
+    """An integer P with |P - pi * 2^w| < 2, from Machin's formula.
+
+    pi = 16 arctan(1/5) - 4 arctan(1/239), summed at u = w + g bits with
+    g = bitlen(w) + 8.  For arctan(1/x), p_j = floor(p_{j-1} / x^2) starts
+    at floor(2^u / x) and stays within x^2 / (x^2 - 1) <= 25/24 below
+    2^u / x^(2j+1); the term floor(p_j / (2j + 1)) adds less than one more,
+    and the series stops at the first p_n = 0, so the omitted tail of the
+    alternating series is below 25/24.  Each arctan is then within
+    2.05 n + 1.05 of its value with n <= u / (2 log2 x) + 1, and pi * 2^u
+    within 7.6 u + 62 < 2^g.  Shifting down by g bits leaves an error below
+    1 + 1.
+    """
+    g = w.bit_length() + 8
+    one = 1 << (w + g)
+
+    def arctan_inv(x: int) -> int:
+        total, p, j, x2 = 0, one // x, 0, x * x
+        while p:
+            term = p // (2 * j + 1)
+            total += -term if j & 1 else term
+            p //= x2
+            j += 1
+        return total
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> g
+
+
+@lru_cache(maxsize=None)
+def _octant_cos_sin(num: int, den: int, prec: int) -> tuple[int, int, int, int]:
+    """(C, S, E, w): cos t and sin t lie within E / 2^w of C / 2^w and S / 2^w.
+
+    Here t = (pi/4) * num/den lies in [0, pi/4] (0 <= num <= den, reduced),
+    and 2E / 2^w <= 2^-prec.  Angles whose cosine or sine is rational
+    (Niven: only 0, 1/2 and 1 in this octant) are exact: t = 0 gives (1, 0)
+    and t = pi/6 gives sin t = 1/2.  At t = pi/6 and t = pi/4 the
+    irrational values sqrt(3)/2 and sqrt(2)/2 are integer square roots,
+    within 1 of the true value; at t = pi/4, where cos t = sin t, both are
+    the same integer.  So every value +-cos, +-sin at an angle 2 pi k/d
+    comes from exactly one integer, and values that cancel exactly cancel
+    in the midpoints too.
+
+    Otherwise, with p = max(prec, 3), h = max(1, isqrt(p) // 2) argument
+    halvings and w = p + G bits, G = 2h + bitlen(p + 2h) + 5:
+
+    * theta = floor(P * num / (den * 2^(h+2))) is within 2 of
+      (t / 2^h) 2^w, and theta < 2^(w-h), by the bound on P above.
+    * The Taylor terms T_0 = 2^w, T_j = floor(floor(T_{j-1} theta / 2^w) / j)
+      are within 3 of (t/2^h)^j / j! 2^w: T_1 = theta is within 2, and the
+      error e_j < e_{j-1} / j + 2 / j + 1 stays below 3.  Since
+      T_j < 2^(w - hj), the sum stops at the first T_n = 0 with n <= w/h + 1.
+      Both series alternate with decreasing terms, so each truncated tail is
+      below T_n + 3 = 3, and C and S are within E_0 = 3 (n + 1) of
+      cos(t / 2^h) 2^w and sin(t / 2^h) 2^w.
+    * Each double-angle step C' = floor((C^2 - S^2) / 2^w),
+      S' = floor(2 C S / 2^w) at an angle in [0, pi/4] turns an error E into
+      one below 2 (cos + sin) E + 2 E^2 / 2^w + 1 <= 3 E + 1, as long as
+      E <= 2^(w-4); after h steps E_h <= 3^h (E_0 + 1/2).
+    * With E_0 <= 3 w + 6, 3^h (3 w + 6.5) <= 2^(2h) 16 (p + 2h + 1)
+      <= 2^(G-1), since w = p + 2h + bitlen(p + 2h) + 5 and p >= 3.  So
+      E_h <= 2^(G-1) <= 2^(w-4), which also keeps every step's condition.
+    """
+    p = max(prec, 3)
+    h = max(1, math.isqrt(p) // 2)
+    w = p + 2 * h + (p + 2 * h).bit_length() + 5
+    one = 1 << w
+    if num == 0:
+        return one, 0, 0, w
+    if num == den:
+        root = math.isqrt(one * one // 2)
+        return root, root, 1, w
+    if 3 * num == 2 * den:
+        return math.isqrt(3 * one * one // 4), one >> 1, 1, w
+    theta = _pi_fixed(w) * num // (den << (h + 2))
+    c = s = 0
+    term, j = one, 0
+    while term:
+        signed = -term if j & 2 else term
+        if j & 1:
+            s += signed
+        else:
+            c += signed
+        j += 1
+        term = (term * theta >> w) // j
+    err = 3 * (j + 1)
+    for _ in range(h):
+        c, s = (c - s) * (c + s) >> w, c * s >> (w - 1)
+        err = 3 * err + 1
+    return c, s, err, w
 
 
 @lru_cache(maxsize=None)
 def _trig_enclosure(num: int, den: int, prec: int):
-    # cos/sin of 2*pi*num/den as Fraction intervals
-    old = iv.prec
-    try:
-        iv.prec = prec
-        ang = 2 * iv.pi * num / iv.mpf(den)
-        c, s = iv.cos(ang), iv.sin(ang)
-        clo, chi = (_raw_to_fraction(t) for t in c._mpi_)
-        slo, shi = (_raw_to_fraction(t) for t in s._mpi_)
-    finally:
-        iv.prec = old
-    return (clo, chi), (slo, shi)
+    """cos and sin of 2*pi*num/den as Fraction intervals of width <= 2^-prec.
+
+    The angle is reduced exactly to the octant [0, pi/4]: with
+    (q, r) = divmod(8 num, den), 2 pi num/den = q pi/4 + (pi/4) r/den.  An
+    odd octant reflects to (q + 1) pi/4 - (pi/4)(den - r)/den, which swaps
+    cos and sin; each of the q // 2 quarter turns maps (cos, sin) to
+    (-sin, cos).  Both steps are exact, so the intervals of
+    _octant_cos_sin carry over with their radius.
+    """
+    q, r = divmod(8 * (num % den), den)
+    a = den - r if q & 1 else r
+    g = math.gcd(a, den)
+    c, s, err, w = _octant_cos_sin(a // g, den // g, prec)
+    if q & 1:
+        c, s = s, c
+    for _ in range(q // 2):
+        c, s = -s, c
+    one = 1 << w
+    return (Fraction(c - err, one), Fraction(c + err, one)), (Fraction(s - err, one), Fraction(s + err, one))
 
 
 @dataclass(frozen=True)
@@ -451,7 +550,9 @@ def _scale_interval(lo: Fraction, hi: Fraction, c: Fraction):
 def embed(x: CycloNum, precision: int = 53) -> ComplexBox:
     """Certified enclosure of x under zeta_d -> exp(2*pi*i/d).
 
-    The box width is at most 2^(-precision+2) * max(1, height(x)).
+    The box width is at most 2^(-precision+2) * max(1, height(x)): each
+    cos and sin interval has width <= 2^-work, and sum |c| < scale <=
+    2^bitlen(scale), so the width is below 2^(-precision-4).
     """
     scale = int(sum(abs(c) for c in x.coeffs)) + 1
     work = precision + scale.bit_length() + 4
@@ -489,10 +590,6 @@ def sign_real(x: CycloNum) -> int:
             return -1
         prec *= 2
     raise ArithmeticError("could not separate value from zero")
-
-
-def compare_real(x: CycloNum, y: CycloNum) -> int:
-    return sign_real(x - y)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
-from .exactmath import CycloNum
+from .exactmath import CycloNum, ResourceLimitError
 from .extcalc import ext_cc, ext_cm, ext_cm_closed_form, yoneda_relations
 from .gfield import (
     GF,
@@ -48,10 +48,6 @@ from .mfcore import WeightedType
 from .polynomials import monomials_of_weighted_degree
 
 EXACT = "exact"
-
-
-class ResourceLimitError(RuntimeError):
-    pass
 
 
 class HNTieError(ArithmeticError):

@@ -133,10 +133,9 @@ def test_stability_c1m1_on_two_step_type():
 
 
 def test_usage_error_exit_code():
-    proc = run_cli("zg", "--type", "9,9:7", "--class", "1,0")
-    assert proc.returncode == 2
-    proc2 = run_cli("charge", "--type", "1,1:4", "--class", "1,0")
-    assert proc2.returncode == 2
+    # an UnsupportedCaseError (a ValueError) and a refused type
+    assert_usage_error(run_cli("zg", "--type", "9,9:7", "--class", "1,0"))
+    assert_usage_error(run_cli("charge", "--type", "1,1:4", "--class", "1,0"))
 
 
 def test_main_callable_directly(capsys):
@@ -209,3 +208,48 @@ def test_hn_relation_failure(tmp_path):
     proc = run_cli("hn", "--rep", str(path))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "representation violates the quiver relations\n"
+
+
+# Run a CLI call in a fresh interpreter and report which package modules it loaded.
+LOADED_PROBE = """
+import json, sys
+from gepnerstab import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "mpmath" or m.startswith("gepnerstab"))
+print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+def loaded_by(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=CHILD_PATH),
+    )
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    return set(report["loaded"])
+
+
+def test_commands_import_only_their_modules():
+    loaded = loaded_by("--json", "table1")
+    assert not loaded & {"mpmath", "gepnerstab.quiverrep", "gepnerstab.gfield", "gepnerstab.extcalc", "gepnerstab.hearts"}
+    loaded = loaded_by("stability", "--type", "1,1:3", "--object", "C1m1", "--primes", "5")
+    assert "gepnerstab.quiverrep" in loaded and "mpmath" not in loaded
+    loaded = loaded_by("hn", "--type", "1,1:3", "--rep", str(GOLDEN / "sample_rep_113.json"))
+    assert "gepnerstab.quiverrep" in loaded and "mpmath" not in loaded
+
+
+def test_package_names_resolve_on_first_access():
+    from gepnerstab import CycloNum, hn_filtration, quiverrep
+
+    assert CycloNum is gepnerstab.exactmath.CycloNum
+    assert hn_filtration is quiverrep.hn_filtration
+    assert quiverrep.ResourceLimitError is gepnerstab.exactmath.ResourceLimitError
+    assert set(gepnerstab.__all__) <= set(dir(gepnerstab))
+    with pytest.raises(AttributeError):
+        gepnerstab.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from gepnerstab import no_such_name  # noqa: F401

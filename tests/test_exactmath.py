@@ -8,7 +8,7 @@ from gepnerstab.exactmath import (
     ComplexBox,
     CycloNum,
     ZeroValueError,
-    compare_real,
+    _trig_enclosure,
     cyclo,
     cyclotomic_polynomial,
     embed,
@@ -136,6 +136,44 @@ def test_embed_width_contract_small_height():
         assert box.width() <= Fraction(2) ** (-prec + 2) * x.height()
 
 
+ENCLOSURE_PRECS = (53, 64, 300, 4096)
+ANGLES = [(d, k) for d in range(1, 49) for k in range(d)]
+
+
+@pytest.mark.parametrize("prec", ENCLOSURE_PRECS)
+def test_trig_enclosure_contains_float_values(prec):
+    # math.cos/sin of the rounded float angle are within ~1e-15 of the true values
+    slack = 2e-15
+    for d, k in ANGLES:
+        (clo, chi), (slo, shi) = _trig_enclosure(k, d, prec)
+        assert chi - clo <= Fraction(1, 2**prec) and shi - slo <= Fraction(1, 2**prec), (d, k)
+        angle = 2 * math.pi * k / d
+        assert clo - slack <= math.cos(angle) <= chi + slack, (d, k)
+        assert slo - slack <= math.sin(angle) <= shi + slack, (d, k)
+
+
+@pytest.mark.parametrize("prec", ENCLOSURE_PRECS)
+def test_trig_enclosure_contains_mpmath_values(prec):
+    mpmath = pytest.importorskip("mpmath")
+    slack = Fraction(1, 2 ** (prec + 190))  # mpmath's own error at prec + 200 bits
+    with mpmath.workprec(prec + 200):
+        for d, k in ANGLES:
+            cos, sin = mpmath.cos_sin(2 * mpmath.pi * k / d)
+            for (lo, hi), value in zip(_trig_enclosure(k, d, prec), (cos, sin)):
+                man, exp = value.man_exp  # |value| = man * 2^exp
+                exact = int(mpmath.sign(value)) * Fraction(man) * Fraction(2) ** exp
+                assert lo - slack <= exact <= hi + slack, (d, k)
+
+
+def test_embed_exact_zero_coordinates():
+    # cos(pi/2) is exactly 0, so 4i has real part 0.0 (not a rounding residue)
+    assert complex(4 * cyclo(4, 1)).real == 0.0
+    # 1 - 2 zeta_6 = -i sqrt(3): cos(pi/3) = 1/2 is exact
+    assert complex(1 - 2 * cyclo(6, 1)).real == 0.0
+    # zeta_8 - zeta_8^3 = sqrt(2): sin(pi/4) and sin(3 pi/4) are one value
+    assert complex(cyclo(8, 1) - cyclo(8, 3)).imag == 0.0
+
+
 def test_phase_of_agrees_with_numeric_argument():
     rng = random.Random(31)
     for d in (3, 4, 6, 12):
@@ -166,7 +204,7 @@ def test_sign_real():
     assert sign_real(cyclo(6, 1) + cyclo(6, 5)) == 1
     # 2*cos(2pi/5) - 1 < 0 since cos(72 deg) ~ 0.309
     assert sign_real(cyclo(5, 1) + cyclo(5, 4) - 1) == -1
-    assert compare_real(CycloNum.from_rational(2), CycloNum.from_rational(3)) == -1
+    assert sign_real(CycloNum.from_rational(2) - CycloNum.from_rational(3)) == -1
 
 
 def test_phase_of_exact_cases():

@@ -460,6 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Numbers whose cost grows without bound, each with its accepted range:
+# GF(q) builds O(q^2) tables (GF(361) takes about 1.4 s, GF(961) about
+# 11 s), and the trigonometric enclosures behind --precision cost at
+# least quadratically in their bits, while fewer than 53 bits print
+# wrong digits.
+RANGES = (("max_q", "--max-q", 2, 361), ("precision", "--precision", 53, 4096))
+
 HANDLERS = {
     "table1": cmd_table1,
     "classify": cmd_classify,
@@ -479,6 +486,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    for dest, flag, lo, hi in RANGES:
+        value = getattr(args, dest, None)
+        if value is not None and not lo <= value <= hi:
+            print(f"{flag} must be in {lo}..{hi}, got {value}", file=sys.stderr)
+            return 2
     try:
         return HANDLERS[args.cmd](args)
     except (ValueError, ResourceLimitError) as exc:

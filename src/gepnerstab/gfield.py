@@ -2,20 +2,22 @@
 
 Elements are integer codes 0..q-1 (base-p digit vectors against a fixed
 irreducible modulus).  Everything the subrepresentation search needs lives
-here: row reduction, span/membership, canonical subspace keys, full
-subspace enumeration for ambient dimension <= 4, superspace enumeration,
-and Gaussian binomial counts.  Cyclotomic data reduces into GF(p^k)
-through a chosen multiplicative root of unity.
+here: row reduction, span/membership, canonical subspace keys, kernels,
+full subspace enumeration, superspace enumeration, and Gaussian binomial
+counts.  Full enumeration has no bound of its own: the search
+(``quiverrep.subrep_classes``) refuses, before it starts, a vertex whose
+space has more than ``quiverrep.MAX_SUBSPACES`` = 10^5 subspaces (F_5^5
+with 42,176 passes, F_25^4 with 440,080 does not).  Cyclotomic data
+reduces into GF(p^k) through a chosen multiplicative root of unity.
 
 A subspace is always its canonical RREF basis, as ``span`` returns it, so
 a dict key.  Every function that takes a subspace relies on this: pivots
 are read straight off the rows (``pivot_columns``), and membership,
 quotient projection and ``extension_rank`` share one reduce loop against
-those pivots.  The first rows of such a basis are again one.  The
-subrepresentation search relies on this: it extends the image of a
-basis's prefix by the images of the last row, and at its leaves reads only
-the resulting dimension (``extension_rank``).  So it builds an RREF only
-for prefixes, inner-vertex bounds and witnesses.
+those pivots.  The first rows of such a basis are again one, so the search
+builds the images of earlier inner vertices along RREF prefixes.  At the
+last inner vertex it reads each sink rank from a ``kernel`` instead of an
+image, and builds an RREF only for bounds, kernels and witnesses.
 """
 
 from __future__ import annotations
@@ -275,6 +277,26 @@ def extension_rank(field: GF, basis, vecs) -> int:
         if any(w):
             new.append(w)
     return len(basis) + (len(new) if len(new) < 2 else len(span(field, new)))
+
+
+def kernel(field: GF, rows, n: int) -> tuple[tuple[int, ...], ...]:
+    """RREF basis of the null space {x in F^n : row . x = 0 for every row}.
+
+    Each free column c of the rows' RREF R gives the kernel vector e_c
+    minus R's column c placed at the pivots.
+    """
+    reduced = span(field, rows)
+    pivots = pivot_columns(reduced)
+    neg = field.neg
+    vecs = []
+    for c in range(n):
+        if c not in pivots:
+            v = [0] * n
+            v[c] = 1
+            for row, p in zip(reduced, pivots):
+                v[p] = neg[row[c]]
+            vecs.append(v)
+    return span(field, vecs)
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,9 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, partial, reduce
 from itertools import product
+from typing import NamedTuple
 
 from .exactmath import CycloNum, ResourceLimitError
 from .extcalc import ext_cc, ext_cm, ext_cm_closed_form, yoneda_relations
@@ -36,11 +37,13 @@ from .gfield import (
     field_for,
     gaussian_binomial,
     in_span,
+    kernel,
     mat_apply,
     pivot_columns,
     project_to_quotient,
     quotient_data,
     span,
+    subspaces_of,
     superspaces,
 )
 from .hearts import CaseLattice, lattice_for, phase_key, points_of, slope_mu
@@ -90,6 +93,14 @@ class QuiverWithRelations:
 
     def lattice(self) -> CaseLattice:
         return lattice_for(self.wtype)
+
+    @cached_property
+    def subrep_plan(self) -> SubrepPlan:
+        """The plan of subrep_classes, built on first use.
+
+        Raises ResourceLimitError for a shape the search cannot walk.
+        """
+        return _subrep_plan(self)
 
 
 def heart_quiver(wtype: WeightedType) -> QuiverWithRelations:
@@ -373,6 +384,48 @@ def reduce_rep(rep: QuiverRep, p: int, max_q: int | None = None) -> QuiverRep:
 
 MAX_TOTAL_DIM = 12
 MAX_Q_ORACLE = 49
+MAX_SUBSPACES = 10**5  # subspaces of one enumerated vertex
+
+
+class SubrepPlan(NamedTuple):
+    """How subrep_classes walks a quiver; it depends on the quiver alone.
+
+    order: the inner vertices (those with arrows out), sources first.  Its
+    last vertex is the only one that feeds sinks.  sinks: the vertices
+    without arrows out.  into: (source, labels of the arrows in) per vertex
+    with arrows in; every such vertex has one source.
+    """
+
+    order: tuple[str, ...]
+    sinks: tuple[str, ...]
+    into: dict
+
+
+def _subrep_plan(quiver: QuiverWithRelations) -> SubrepPlan:
+    into = {}
+    for v in quiver.vertices:
+        arrows = quiver.arrows_into(v)
+        sources = {a.src for a in arrows}
+        if len(sources) > 1:
+            raise ResourceLimitError(f"{v} is fed from {len(sources)} vertices; prefix bounds need one")
+        if arrows:
+            into[v] = (arrows[0].src, tuple(a.label for a in arrows))
+    inner = [v for v in quiver.vertices if quiver.arrows_from(v)]
+    order: list[str] = []
+    while len(order) < len(inner):
+        ready = [v for v in inner if v not in order and (v not in into or into[v][0] in order)]
+        if not ready:
+            raise ResourceLimitError("quiver has a cycle through inner vertices")
+        order += ready
+    sinks = tuple(v for v in quiver.vertices if v not in inner)
+    for s in sinks:
+        if s in into:
+            src, labels = into[s]
+            if src != order[-1]:
+                raise ResourceLimitError(f"sink {s} is fed from {src}, not from the last inner vertex {order[-1]}")
+            if len(labels) > 1:
+                raise ResourceLimitError(f"sink {s} is fed by {len(labels)} arrows; its ranks are read from one kernel")
+    return SubrepPlan(tuple(order), sinks, into)
 
 
 class SubrepClass:
@@ -384,22 +437,23 @@ class SubrepClass:
     extended to the class's sink dimension.
     """
 
-    __slots__ = ("dims", "count", "_field", "_inner", "_sinks", "_witness")
+    __slots__ = ("dims", "count", "_field", "_choice", "_sinks", "_witness")
 
-    def __init__(self, dims: tuple[int, ...], count: int, field: GF, inner: dict, sinks: list):
+    def __init__(self, dims: tuple[int, ...], count: int, field: GF, choice, sinks: list):
         self.dims = dims
         self.count = count
         self._field = field
-        self._inner = inner  # inner vertex -> chosen RREF subspace
-        self._sinks = sinks  # (sink, lower bound, target dim, ambient dim)
+        self._choice = choice  # () -> (inner vertex -> RREF subspace, sink bounds)
+        self._sinks = sinks  # (sink, its slot in dims, its dimension), shared per call
         self._witness = None
 
     @property
     def witness(self) -> dict:
         if self._witness is None:
-            witness = dict(self._inner)
-            for s, bound, m, n in self._sinks:
-                witness[s] = extend_to_dim(self._field, bound, m, n)
+            inner, bounds = self._choice()
+            witness = dict(inner)
+            for (s, i, n), bound in zip(self._sinks, bounds):
+                witness[s] = extend_to_dim(self._field, bound, self.dims[i], n)
             self._witness = witness
         return self._witness
 
@@ -409,8 +463,56 @@ def _check_guard(rep: QuiverRep, max_q: int):
         raise ResourceLimitError("subrepresentation search runs over finite fields")
     if rep.total_dim() > MAX_TOTAL_DIM:
         raise ResourceLimitError(f"total dimension {rep.total_dim()} exceeds {MAX_TOTAL_DIM}")
-    if rep.field.q > max_q:
-        raise ResourceLimitError(f"field size {rep.field.q} exceeds {max_q}")
+    q = rep.field.q
+    if q > max_q:
+        raise ResourceLimitError(f"field size {q} exceeds {max_q}")
+    for v in rep.quiver.subrep_plan.order:
+        n = rep.dims.get(v, 0)
+        count = sum(gaussian_binomial(n, d, q) for d in range(n + 1))
+        if count > MAX_SUBSPACES:
+            raise ResourceLimitError(
+                f"{v} has {count} subspaces over {rep.field.label()}; the search enumerates at most {MAX_SUBSPACES}"
+            )
+
+
+def _lines(field: GF, basis):
+    """Each line in the span of an RREF basis, as its one-row RREF.
+
+    A line's first nonzero entry sits at some pivot, scaled to 1: its
+    vector is that pivot's row plus any combination of the later rows,
+    which vanish at and before that pivot.
+    """
+    add, mul = field.add, field.mul
+    for i, row in enumerate(basis):
+        later = basis[i + 1 :]
+        for coeffs in product(range(field.q), repeat=len(later)):
+            v = row
+            for c, other in zip(coeffs, later):
+                if c:
+                    v = tuple(add[x][mul[c][y]] for x, y in zip(v, other))
+            yield v
+
+
+def _hyperplanes_over(field: GF, sub, n: int):
+    """Each hyperplane of F^n containing the RREF subspace sub, as its RREF basis.
+
+    It is the kernel of a functional phi vanishing on sub.  Scaled so that
+    its last nonzero entry, at t, is 1, phi gives the RREF rows
+    e_c - phi_c e_t for c < t and e_c for c > t.
+    """
+    neg, mul, inv = field.neg, field.mul, field.inv
+    for phi in _lines(field, kernel(field, sub, n)):
+        t = max(c for c in range(n) if phi[c])
+        scale = mul[inv[phi[t]]]
+        rows = []
+        for c in range(n):
+            if c != t:
+                row = [0] * n
+                row[c] = 1
+                if c < t:
+                    row[t] = neg[scale[phi[c]]]
+                rows.append(tuple(row))
+        yield tuple(rows)
 
 
 def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
@@ -427,102 +529,194 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     which a per-choice expansion would first meet each dimension vector.
     Witnesses are lazy (see SubrepClass).
 
-    Bounds are built along RREF prefixes.  Every vertex is fed from at
-    most one source vertex (other shapes are refused), and the first rows
-    of a canonical RREF basis U are again one, so the image of U at a
-    target is the image of U[:-1] plus the images of U[-1].  The images of
-    prefixes are kept in a per-call table, each one reused by all its
-    children.  A leaf reads only the dimension of each sink bound: the
-    prefix's rank, plus the rank the reduced images of U[-1] add.  The
-    RREF sink bounds are built only for a signature's first leaf, whose
-    choice becomes the witness.
+    The plan (SubrepPlan, cached per quiver) makes every vertex fed from
+    one source and every sink fed by one arrow M_j from the last inner
+    vertex.  Earlier inner vertices are walked choice by choice; their
+    images are built along RREF prefixes (the first rows of a canonical
+    RREF basis are again one), each prefix image kept in a per-call table
+    and reused by its children.  At the last inner vertex, of dimension n,
+    a choice of the earlier ones fixes the lower bound L, and the choices
+    are the U = L + lift(Ubar) for the subspaces Ubar of V/L, of dimension
+    n' = n - dim L.  The sink bound of U at j is M_j U, and
+
+        rank M_j U = dim B_j + dim Ubar - dim(Ubar meet K_j),
+
+    where B_j = M_j L and K_j, of dimension k, is the kernel of the map
+    V/L -> W_j/B_j that M_j induces: M_j U = B_j + M_j lift(Ubar), and
+    M_j lift(Ubar) adds to B_j exactly Ubar's image under the induced map.
+    For d = dim Ubar in {0, 1, n'-1, n'} the meet has dimension
+    max(0, d + k - n'), except on the lines inside K_j (meet 1, not 0) and
+    the hyperplanes containing K_j (meet k, not k - 1), when 0 < k < n':
+    for d = 0 the meet is 0 and for d = n' it is K_j, a line meets K_j in
+    0 or 1 dimensions, and a hyperplane H meets it in k - 1 or, when K_j
+    lies in H, k, since dim(H + K_j) <= n'.  With k = 0 or n' there is no
+    exception.  So per distinct L the sink ranks of every Ubar are a dict
+    of those exceptions (at most q + 1 per sink when n' <= 3) over one
+    tuple per dimension; only for 2 <= d <= n' - 2, which needs n' >= 4,
+    is the meet read off extension_rank against K_j.  The leaves under L
+    are tallied once per call into a histogram
+    (dim Ubar, sink ranks) -> [leaves, first Ubar] in enumeration order.
+    The earlier choices are counted per (their dimensions, L), and each
+    such pair replays its histogram, in the order of its first choice:
+    so every signature is first met where a walk choice by choice would
+    meet it.  U is built only for a signature's first leaf, whose choice
+    becomes the witness.
     """
     _check_guard(rep, max_q)
-    q = rep.quiver
+    order, sinks, into = rep.quiver.subrep_plan
     f = rep.field
-    verts = list(q.vertices)
-    sinks = [v for v in verts if not q.arrows_from(v)]
-    inner = [v for v in verts if q.arrows_from(v)]
-    for a in q.arrows:
-        if a.src in sinks:
-            raise ResourceLimitError("sink aggregation requires arrows out of inner vertices only")
-    # source vertex and its maps, per vertex with arrows in; a target of
-    # dimension 0 keeps bound () and gets no entry
-    feed: dict = {}
-    sources: dict = {}
-    for v in verts:
-        arrows = q.arrows_into(v)
-        sources[v] = {a.src for a in arrows}
-        if len(sources[v]) > 1:
-            raise ResourceLimitError(f"{v} is fed from {len(sources[v])} vertices; prefix bounds need one")
-        if arrows and rep.dims.get(v, 0):
-            feed[v] = (arrows[0].src, [rep.mats[a.label] for a in arrows])
-    # inner vertices in dependency order (sources first)
-    order: list[str] = []
-    while len(order) < len(inner):
-        ready = [v for v in inner if v not in order and sources[v] <= set(order)]
-        if not ready:
-            raise ResourceLimitError("quiver has a cycle through inner vertices")
-        order += ready
-
-    images: dict = {v: {(): ()} for v in feed}  # target -> source subspace -> RREF image
+    dims = rep.dims
+    # the maps into each vertex of positive dimension; the others keep bound ()
+    maps = {v: [rep.mats[label] for label in labels] for v, (_, labels) in into.items() if dims.get(v, 0)}
+    fed = [(i, maps[s][0]) for i, s in enumerate(sinks) if s in maps]
+    images: dict = {v: {(): ()} for v in order if v in maps}  # target -> source subspace -> RREF image
 
     def image(v, u):
         img = images[v].get(u)
         if img is None:
-            new = tuple(mat_apply(f, m, u[-1]) for m in feed[v][1])
-            img = images[v][u] = span(f, image(v, u[:-1]) + new)
+            img = image(v, u[:-1])
+            if len(img) < dims[v]:  # a full prefix image is the image
+                img = span(f, img + tuple(mat_apply(f, m, u[-1]) for m in maps[v]))
+            images[v][u] = img
         return img
 
     def bound(v, chosen):
-        return image(v, chosen[feed[v][0]]) if v in feed else ()
+        return image(v, chosen[into[v][0]]) if v in images else ()
 
-    fed_sinks = [(i, s, *feed[s]) for i, s in enumerate(sinks) if s in feed]
+    last = order[-1] if order else None
+    n_last = dims.get(last, 0)
 
-    def sink_bound_dims(chosen):
-        dims = [0] * len(sinks)
-        for i, s, src, mats in fed_sinks:
-            u = chosen[src]
-            if u:
-                dims[i] = extension_rank(f, image(s, u[:-1]), [mat_apply(f, m, u[-1]) for m in mats])
-        return tuple(dims)
+    def histogram(lower):
+        """(dim Ubar, sink ranks) -> [leaves, first Ubar] over the subspaces Ubar of V/lower."""
+        free = quotient_data(lower, n_last)
+        n1 = len(free)
+        generic = [[0] * len(sinks) for _ in range(n1 + 1)]
+        exceptions: dict = {}  # Ubar -> {sink index: rank}
+        middle = []
+        for i, mat in fed:
+            b = span(f, [mat_apply(f, mat, row) for row in lower]) if lower else ()
+            # the induced map V/L -> W/B: M's columns at L's free columns, reduced against B
+            induced = [[row[c] for c in free] for row in mat]
+            if b:
+                free_b = quotient_data(b, len(mat))
+                induced = list(zip(*(project_to_quotient(f, b, free_b, col) for col in zip(*induced))))
+            if n1 < 2:  # rank 0 or 1, no exception
+                k, kern = n1 - any(map(any, induced)), None
+            else:
+                kern = kernel(f, induced, n1)
+                k = len(kern)
+            r = len(b)
+            for d in range(n1 + 1):
+                generic[d][i] = r + d - max(0, d + k - n1)
+            if 0 < k < n1:
+                for line in _lines(f, kern):
+                    exceptions.setdefault((line,), {})[i] = r
+                if n1 > 2:
+                    for plane in _hyperplanes_over(f, kern, n1):
+                        exceptions.setdefault(plane, {})[i] = r + n1 - 1 - k
+                if n1 > 3:
+                    middle.append((i, r, kern, k))
+        generic = [tuple(g) for g in generic]
+        ranks = {}
+        for u, over in exceptions.items():
+            t = list(generic[len(u)])
+            for i, rank in over.items():
+                t[i] = rank
+            ranks[u] = tuple(t)
+        hist: dict = {}
+        for u in subspaces_of(f, n1):
+            d = len(u)
+            t = ranks.get(u)
+            if t is None:
+                t = generic[d]
+                if middle and 1 < d < n1 - 1:
+                    t = list(t)
+                    for i, r, kern, k in middle:
+                        t[i] = r + extension_rank(f, kern, u) - k
+                    t = tuple(t)
+            entry = hist.get((d, t))
+            if entry is None:
+                hist[d, t] = [1, u]
+            else:
+                entry[0] += 1
+        return hist
 
-    # signature -> [inner choices, representative choice, its sink bounds]
-    groups: dict = {}
+    def choice(prefix, lower, ubar):
+        """The inner choice prefix + {last: L + lift(Ubar)} and its sink bounds."""
+        free = quotient_data(lower, n_last)
+        lift = []
+        for row in ubar:
+            v = [0] * n_last
+            for x, c in zip(row, free):
+                v[c] = x
+            lift.append(v)
+        u = span(f, list(lower) + lift)
+        bounds = [()] * len(sinks)
+        for i, mat in fed:
+            bounds[i] = span(f, [mat_apply(f, mat, row) for row in u])
+        return prefix | {last: u}, bounds
+
+    # (earlier inner dimensions, lower bound at the last) -> [choices, first choice]
+    lowers: dict = {}
 
     def rec(idx, chosen, inner_dims):
-        if idx == len(order):
-            sig = (inner_dims, sink_bound_dims(chosen))
-            group = groups.get(sig)
-            if group is None:
-                groups[sig] = [1, dict(chosen), [bound(s, chosen) for s in sinks]]
-            else:
-                group[0] += 1
-            return
         v = order[idx]
-        for u in superspaces(f, bound(v, chosen), rep.dims.get(v, 0)):
+        if idx == len(order) - 1:
+            key = (inner_dims, bound(v, chosen))
+            entry = lowers.get(key)
+            if entry is None:
+                lowers[key] = [1, dict(chosen)]
+            else:
+                entry[0] += 1
+            return
+        for u in superspaces(f, bound(v, chosen), dims.get(v, 0)):
             chosen[v] = u
             rec(idx + 1, chosen, inner_dims + (len(u),))
         del chosen[v]
 
-    rec(0, {}, ())
+    # signature -> [inner choices, () -> representative choice and its sink bounds]
+    groups: dict = {}
+    if order:
+        rec(0, {}, ())
+    else:
+        groups[(), (0,) * len(sinks)] = [1, lambda: ({}, [()] * len(sinks))]
+    hists: dict = {}  # lower bound -> histogram
+    for (inner_dims, lower), (choices, prefix) in lowers.items():
+        hist = hists.get(lower)
+        if hist is None:
+            hist = hists[lower] = histogram(lower)
+        for (d, ranks), (leaves, ubar) in hist.items():
+            sig = (inner_dims + (len(lower) + d,), ranks)
+            group = groups.get(sig)
+            if group is None:
+                groups[sig] = [choices * leaves, partial(choice, prefix, lower, ubar)]
+            else:
+                group[0] += choices * leaves
 
-    slot = {v: i for i, v in enumerate(verts)}
-    sink_dims = [rep.dims.get(s, 0) for s in sinks]
+    vertices = rep.quiver.vertices
+    inner_at = {v: i for i, v in enumerate(order)}
+    sink_at = {s: i for i, s in enumerate(sinks)}
+    # per sink: bound dimension lo -> (m, subspaces of dimension m containing a bound of dimension lo)
+    above = {}
+    for s in sinks:
+        n = dims.get(s, 0)
+        above[s] = [[(m, gaussian_binomial(n - lo, m - lo, f.q)) for m in range(lo, n + 1)] for lo in range(n + 1)]
+    sink_slots = [(s, vertices.index(s), dims.get(s, 0)) for s in sinks]
     out: dict[tuple[int, ...], SubrepClass] = {}
-    for (inner_dims, los), (leaves, chosen, bounds) in groups.items():
-        key = [0] * len(verts)
-        for v, m in zip(order, inner_dims):
-            key[slot[v]] = m
-        for ms in product(*(range(lo, n + 1) for lo, n in zip(los, sink_dims))):
-            count = leaves
-            for m, lo, n, s in zip(ms, los, sink_dims, sinks):
-                count *= gaussian_binomial(n - lo, m - lo, f.q)
-                key[slot[s]] = m
-            dims = tuple(key)
-            cls = out.get(dims)
+    for (inner_dims, los), (leaves, realize) in groups.items():
+        # every dimension vector of the group with its count, the last sink varying fastest
+        rows = [((), leaves)]
+        for v in vertices:
+            if v in inner_at:
+                m = (inner_dims[inner_at[v]],)
+                rows = [(key + m, count) for key, count in rows]
+            else:
+                table = above[v][los[sink_at[v]]]
+                rows = [(key + (m,), count * c) for key, count in rows for m, c in table]
+        for key, count in rows:
+            cls = out.get(key)
             if cls is None:
-                out[dims] = SubrepClass(dims, count, f, chosen, list(zip(sinks, bounds, ms, sink_dims)))
+                out[key] = SubrepClass(key, count, f, realize, sink_slots)
             else:
                 cls.count += count
     return out

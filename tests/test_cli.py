@@ -157,6 +157,31 @@ def test_stability_refuses_oversize_field():
     assert "field size 16129 exceeds 130" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # GF(43^2) alone would build tables of 1849^2 entries
+        (("stability", "--type", "1,1:4", "--object", "C2m1", "--max-q", "2000", "--primes", "43"), "--max-q must be in 2..361, got 2000"),
+        (("hn", "--rep", "rep.json", "--max-q", "362"), "--max-q must be in 2..361, got 362"),
+        # 0 and -5 bits printed +0+5.19580078125i for 5.196152...i
+        (("charge", "--type", "1,1,1,1:4", "--class", "1,0,0", "--precision", "0"), "--precision must be in 53..4096, got 0"),
+        (("charge", "--type", "1,1,1,1:4", "--class", "1,0,0", "--precision", "-5"), "--precision must be in 53..4096, got -5"),
+        (("zg", "--type", "1,1:4", "--class", "0,1,1,0,0,0", "--precision", "200000"), "--precision must be in 53..4096, got 200000"),
+        (("zg", "--type", "1,1:4", "--class", "0,1,1,0,0,0", "--precision", "52"), "--precision must be in 53..4096, got 52"),
+    ],
+)
+def test_out_of_range_numbers(argv, message):
+    proc = run_cli(*argv)
+    assert_usage_error(proc)
+    assert message in proc.stderr
+
+
+def test_range_bounds_are_accepted():
+    assert run_cli("zg", "--type", "1,1:4", "--class", "0,1,1,0,0,0", "--precision", "4096").returncode == 0
+    proc = run_cli("stability", "--type", "1,1:3", "--object", "C1m1", "--primes", "5", "--max-q", "361")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ext_point_out_of_range():
     for point in ("99", "0"):
         proc = run_cli("ext", "--type", "1,1:4", "--from", "C(1)", "--to", "point", "--point", point)
@@ -184,6 +209,8 @@ ZERO_113 = {"field": "Fp", "p": 5, "type": "(1,1;3)", "dims": {"C(0)": 1}}
         (ZERO_113 | {"mats": {"pi1": [[1, 2]]}}, "map pi1 (C(0) -> PsiO(p1)) must be a 0x1 matrix"),
         (ZERO_113 | {"mats": {"p1": [[1]]}}, "'p1' is not an arrow of the (1,1;3) quiver"),
         (ZERO_113 | {"dims": {"C(0)": 1, "C(9)": 4}}, "'C(9)' is not a vertex of the (1,1;3) quiver"),
+        # total dimension 6, but F_5^6 has 3,583,232 subspaces to enumerate
+        (ZERO_113 | {"type": "3,2:6", "dims": {"C(0)": 6}}, "C(0) has 3583232 subspaces over F_5"),
     ],
 )
 def test_hn_rep_file_errors(tmp_path, data, message):

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from gepnerstab.gfield import (
     mat_apply,
     span,
     subspaces_of,
+    superspaces,
 )
 from gepnerstab.hearts import lattice_for
 from gepnerstab.mfcore import WeightedType
@@ -253,18 +256,44 @@ def test_subreps_of_zero_rep():
 
 
 def _bruteforce_subreps(rep) -> dict:
-    """Dimension vector -> count, over every tuple of subspaces closed under the arrows."""
+    """Dimension vector -> count, over every tuple of subspaces closed under the arrows.
+
+    The vertices with arrows out run over every tuple of their subspaces.
+    Given those, the sinks are independent: each runs over every subspace
+    containing the images of the arrows into it (listed by ``superspaces``
+    once per image), so the sinks' product is counted, not walked.
+    """
     q, f = rep.quiver, rep.field
+    inner = [v for v in q.vertices if q.arrows_from(v)]
+    sinks = [v for v in q.vertices if not q.arrows_from(v)]
+    above: dict = {}  # (sink, image) -> {dimension: number of subspaces containing the image}
     out: dict = {}
-    for combo in product(*(subspaces_of(f, rep.dims.get(v, 0)) for v in q.vertices)):
-        chosen = dict(zip(q.vertices, combo))
-        if all(
+    for combo in product(*(subspaces_of(f, rep.dims.get(v, 0)) for v in inner)):
+        chosen = dict(zip(inner, combo))
+        if not all(
             in_span(f, chosen[a.tgt], mat_apply(f, rep.mats[a.label], vec))
             for a in q.arrows
+            if a.tgt in chosen
             for vec in chosen[a.src]
         ):
-            key = tuple(len(u) for u in combo)
-            out[key] = out.get(key, 0) + 1
+            continue
+        per_sink = []
+        for s in sinks:
+            image = span(f, [mat_apply(f, rep.mats[a.label], vec) for a in q.arrows_into(s) for vec in chosen[a.src]])
+            if (s, image) not in above:
+                counts: dict = {}
+                for w in superspaces(f, image, rep.dims.get(s, 0)):
+                    assert all(in_span(f, w, x) for x in image)
+                    counts[len(w)] = counts.get(len(w), 0) + 1
+                above[s, image] = counts
+            per_sink.append(above[s, image].items())
+        for picks in product(*per_sink):
+            chosen_dims = {v: len(u) for v, u in chosen.items()} | {s: m for s, (m, _) in zip(sinks, picks)}
+            key = tuple(chosen_dims[v] for v in q.vertices)
+            count = 1
+            for _, c in picks:
+                count *= c
+            out[key] = out.get(key, 0) + count
     return out
 
 
@@ -329,6 +358,163 @@ def test_subrep_classes_refuses_two_source_target():
     rep = QuiverRep(q, f, {"A": 1, "B": 1, "C": 1}, {"a": ((1,),), "b": ((1,),)})
     with pytest.raises(ResourceLimitError, match="fed from 2 vertices"):
         subrep_classes(rep)
+
+
+# Three representations whose sink maps have every kind of kernel at the
+# last inner vertex C(0).  Their classes must match the exhaustive count,
+# every witness must be a subrepresentation of its class, and the class
+# order and witnesses must stay those pinned in KERNEL_GOLDEN (recorded
+# with the per-leaf rank enumeration that the kernel lookup replaced).
+KERNEL_GOLDEN = Path(__file__).parent / "golden" / "subrep_kernel_cases.json"
+
+
+def _rank(f, rows):
+    return len(span(f, rows))
+
+
+def _kernel_case_star_f25():
+    """C(0) = F_25^3 feeding five sinks with kernels 0, a line, a plane, all of C(0), and the line again."""
+    sinks = ("S1", "S2", "S3", "S4", "S5")
+    q = QuiverWithRelations(
+        wtype=T113,
+        vertices=("C(0)",) + sinks,
+        arrows=tuple(Arrow("C(0)", s, s.lower()) for s in sinks),
+        relations=(),
+        conductor=3,
+    )
+    f = field_for(5, 3)
+    assert f.q == 25
+    s2 = ((1, 0, 6), (0, 1, 19))
+    # S5's rows span S2's: the two sinks share one kernel line
+    s5 = (tuple(f.add[x][y] for x, y in zip(*s2)), tuple(f.mul[2][y] for y in s2[1]))
+    mats = {"s1": ((1, 7, 0), (0, 1, 13), (2, 0, 1)), "s2": s2, "s3": ((3, 0, 17),), "s4": ((0, 0, 0),), "s5": s5}
+    assert [_rank(f, m) for m in mats.values()] == [3, 2, 1, 0, 2]
+    assert span(f, s5) == span(f, s2)
+    dims = {"C(0)": 3, "S1": 3, "S2": 2, "S3": 1, "S4": 1, "S5": 2}
+    return QuiverRep(q, f, dims, mats)
+
+
+def _kernel_case_114_shared_bounds():
+    """(1,1;4) over F_9 with X1 of rank 2 and X2 = lam X1.
+
+    The bound at C(0) of a subspace U of C(1) is X1 U.  Each of the ten
+    lines inside im X1 = span(e0, e1) is the bound of ten choices of U (its
+    nine preimage lines and one plane), and pi1 tells those lines apart.
+    """
+    q = heart_quiver(T114)
+    f = field_for(3, q.conductor)
+    assert f.q == 9
+    coeff = {inner: f.reduce_cyclo(c, q.conductor) for c, inner in dict(q.relations)["pi1"]}
+    # X2 = lam X1 makes pi1's relation vanish, so pi1 may be nonzero on the bounds
+    lam = f.mul[f.neg[coeff["X1"]]][f.inv[coeff["X2"]]]
+    x1 = ((1, 0, 0), (0, 1, 0), (0, 0, 0))
+    mats = {
+        "X1": x1,
+        "X2": tuple(tuple(f.mul[lam][x] for x in row) for row in x1),
+        "pi1": ((1, 2, 0), (0, 0, 1)),  # kernel span((1, 1, 0)), inside im X1
+        # the other point maps kill im X1, the image of every other relation sum
+        "pi2": ((0, 0, 1),),
+        "pi3": ((0, 0, 0),),
+        "pi4": ((0, 0, 5),),
+    }
+    dims = {"C(1)": 3, "C(0)": 3, "PsiO(p1)": 2, "PsiO(p2)": 1, "PsiO(p3)": 1, "PsiO(p4)": 1}
+    rep = QuiverRep(q, f, dims, mats)
+    assert rep.validate()
+    return rep
+
+
+def _kernel_case_214_middle():
+    """(2,1;4) over F_5 with C(0) = F_5^4, kernels a plane and a line: reaches the leaves of dimension 2."""
+    q = heart_quiver(T214)
+    f = field_for(5, q.conductor)
+    mats = {"pi1": ((1, 2, 0, 3), (0, 1, 4, 1)), "pi2": ((1, 0, 0, 2), (0, 1, 0, 3), (0, 0, 1, 4))}
+    assert [_rank(f, m) for m in mats.values()] == [2, 3]
+    rep = QuiverRep(q, f, {"C(0)": 4, "PsiO(p1)": 2, "PsiO(p2)": 3}, mats)
+    assert rep.validate()
+    return rep
+
+
+KERNEL_CASES = {
+    "star-F25-five-kernels": _kernel_case_star_f25,
+    "114-shared-bounds": _kernel_case_114_shared_bounds,
+    "214-middle-dimension": _kernel_case_214_middle,
+}
+
+
+def _record_classes(rep) -> list:
+    return [
+        [list(dims), cls.count, {v: [list(row) for row in rows] for v, rows in cls.witness.items()}]
+        for dims, cls in subrep_classes(rep).items()
+    ]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_subrep_kernel_cases(name):
+    rep = KERNEL_CASES[name]()
+    classes = subrep_classes(rep)
+    assert {dims: cls.count for dims, cls in classes.items()} == _bruteforce_subreps(rep)
+    for dims, cls in classes.items():
+        sub = subrep_restriction(rep, cls.witness)
+        assert sub.dim_vector() == dims and sub.validate()
+    assert _record_classes(rep) == json.loads(KERNEL_GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize(
+    "arrows, message",
+    [
+        ((Arrow("A", "B", "a"), Arrow("B", "C", "b"), Arrow("A", "S", "s")), "sink S is fed from A, not from the last inner vertex B"),
+        ((Arrow("A", "S", "s"), Arrow("A", "S", "t")), "sink S is fed by 2 arrows"),
+    ],
+    ids=["fed-from-earlier-vertex", "fed-by-two-arrows"],
+)
+def test_subrep_plan_refuses_sinks_it_cannot_read(arrows, message):
+    vertices = tuple(dict.fromkeys(v for a in arrows for v in (a.src, a.tgt)))
+    q = QuiverWithRelations(wtype=T113, vertices=vertices, arrows=arrows, relations=(), conductor=1)
+    rep = QuiverRep(q, field_for(5, 1), {v: 1 for v in vertices}, {a.label: ((1,),) for a in arrows})
+    with pytest.raises(ResourceLimitError, match=message):
+        subrep_classes(rep)
+
+
+def test_subrep_plan_is_built_once_per_quiver():
+    q = heart_quiver(T114)
+    plan = q.subrep_plan
+    assert plan is q.subrep_plan
+    assert plan.order == ("C(1)", "C(0)")
+    assert plan.sinks == ("PsiO(p1)", "PsiO(p2)", "PsiO(p3)", "PsiO(p4)")
+    assert plan.into["C(0)"] == ("C(1)", ("X1", "X2"))
+
+
+def _zero_rep(t, p, dims):
+    q = heart_quiver(t)
+    f = field_for(p, q.conductor)
+    dims = {v: 0 for v in q.vertices} | dims
+    mats = {a.label: tuple(tuple(0 for _ in range(dims[a.src])) for _ in range(dims[a.tgt])) for a in q.arrows}
+    return QuiverRep(q, f, dims, mats)
+
+
+@pytest.mark.parametrize(
+    "t, p, n, subspaces",
+    [(T113, 5, 4, 440_080), (T326, 5, 6, 3_583_232)],
+    ids=["F25^4", "F5^6"],
+)
+def test_subspace_guard_refuses_before_enumerating(t, p, n, subspaces):
+    rep = _zero_rep(t, p, {"C(0)": n})
+    assert rep.total_dim() <= 12
+    with pytest.raises(ResourceLimitError, match=f"C\\(0\\) has {subspaces} subspaces"):
+        subrep_classes(rep)
+
+
+def test_subspace_guard_accepts_up_to_its_bound():
+    # F_49^3 (4,904 subspaces) and F_121^3 (29,528) on (1,1;4), whose points need F_{p^2}
+    for p, subspaces in ((7, 4_904), (11, 29_528)):
+        rep = _zero_rep(T114, p, {"C(0)": 3})
+        assert rep.field.q == p * p
+        assert sum(cls.count for cls in subrep_classes(rep, max_q=121).values()) == subspaces
+    # F_5^5 (42,176): a star with one sink of dimension 1 and a nonzero map phi.
+    # U inside ker phi (1,120 subspaces of F_5^4) leaves the sink free, any other U fills it.
+    q = heart_quiver(T326)
+    rep = QuiverRep(q, field_for(5, 1), {"C(0)": 5, "PsiO(p1)": 1}, {"pi1": ((1, 2, 3, 4, 0),)})
+    assert sum(cls.count for cls in subrep_classes(rep).values()) == 42_176 + 1_120
 
 
 def test_phase_key_order_matches_float_angles():
@@ -579,3 +765,9 @@ def test_validate_rejects_failing_relations():
     ((first, *rest),) = obj.mats["pi1"]
     mats = dict(obj.mats) | {"pi1": ((first + 1, *rest),)}
     assert not QuiverRep(obj.quiver, obj.field, obj.dims, mats).validate()
+
+
+if __name__ == "__main__":
+    # regenerate KERNEL_GOLDEN: PYTHONPATH=src python tests/test_quiverrep.py
+    # (only when a change to the enumeration is meant to change its output)
+    KERNEL_GOLDEN.write_text(json.dumps({name: _record_classes(case()) for name, case in KERNEL_CASES.items()}, separators=(",", ":")) + "\n")

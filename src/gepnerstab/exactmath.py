@@ -15,9 +15,15 @@ Conventions used throughout the package:
   endpoints.  cos and sin of 2*pi*k/d are enclosed by integer fixed-point
   code (pi from Machin's formula, exact reduction to an octant, Taylor
   series with argument halving; Brent and Zimmermann, Modern Computer
-  Arithmetic, ch. 4) whose error bound is proved in ``_octant_cos_sin``;
-  everything else is exact rational interval arithmetic, so containment
-  is certified end to end.
+  Arithmetic, ch. 4) whose error bound is proved in ``_octant_cos_sin``.
+  At one precision all of them share one fixed-point scale 2^w, so
+  ``embed`` sums integer numerators (x over its common denominator times
+  the cos and sin values) and divides once: the same box as rational
+  interval arithmetic on the Fraction intervals, so containment is
+  certified end to end.
+* ``phase_of`` certifies the angle of one box, and runs the exact ray
+  test only for the one ray within the certified error of it; the proof
+  that no other ray can pass is in its docstring.
 """
 
 from __future__ import annotations
@@ -496,15 +502,16 @@ def _octant_cos_sin(num: int, den: int, prec: int) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _trig_enclosure(num: int, den: int, prec: int):
-    """cos and sin of 2*pi*num/den as Fraction intervals of width <= 2^-prec.
+def _trig_fixed(num: int, den: int, prec: int) -> tuple[int, int, int, int]:
+    """(C, S, E, w): cos and sin of 2*pi*num/den within E / 2^w of C / 2^w and S / 2^w.
 
     The angle is reduced exactly to the octant [0, pi/4]: with
     (q, r) = divmod(8 num, den), 2 pi num/den = q pi/4 + (pi/4) r/den.  An
     odd octant reflects to (q + 1) pi/4 - (pi/4)(den - r)/den, which swaps
     cos and sin; each of the q // 2 quarter turns maps (cos, sin) to
-    (-sin, cos).  Both steps are exact, so the intervals of
-    _octant_cos_sin carry over with their radius.
+    (-sin, cos).  Both steps are exact, so the values of _octant_cos_sin
+    carry over with their radius, and so does 2E / 2^w <= 2^-prec.  The
+    number of bits w depends on prec alone.
     """
     q, r = divmod(8 * (num % den), den)
     a = den - r if q & 1 else r
@@ -514,6 +521,12 @@ def _trig_enclosure(num: int, den: int, prec: int):
         c, s = s, c
     for _ in range(q // 2):
         c, s = -s, c
+    return c, s, err, w
+
+
+def _trig_enclosure(num: int, den: int, prec: int):
+    """cos and sin of 2*pi*num/den as Fraction intervals of width <= 2^-prec."""
+    c, s, err, w = _trig_fixed(num, den, prec)
     one = 1 << w
     return (Fraction(c - err, one), Fraction(c + err, one)), (Fraction(s - err, one), Fraction(s + err, one))
 
@@ -533,40 +546,44 @@ class ComplexBox:
     def width(self) -> Fraction:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
-    def abs_lower(self) -> Fraction:
-        def iv_abs(lo, hi):
-            if lo <= 0 <= hi:
-                return Fraction(0)
-            return min(abs(lo), abs(hi))
 
-        # rational lower bound via max of coordinate distances
-        return max(iv_abs(self.re_lo, self.re_hi), iv_abs(self.im_lo, self.im_hi))
-
-
-def _scale_interval(lo: Fraction, hi: Fraction, c: Fraction):
-    return (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
+def _embed_fixed(x: CycloNum, precision: int) -> tuple[int, int, int, int]:
+    """(re, im, err, den): embed(x, precision) is (re +- err) / den + i (im +- err) / den."""
+    den = math.lcm(*(c.denominator for c in x.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    scale = sum(map(abs, nums)) // den + 1  # floor(sum |c_m|) + 1
+    work = precision + scale.bit_length() + 4
+    re = im = err = w = 0
+    for m, a in enumerate(nums):
+        if a:
+            c, s, e, w = _trig_fixed(m, x.d, work)
+            re += a * c
+            im += a * s
+            err += abs(a) * e
+    return re, im, err, den << w
 
 
 def embed(x: CycloNum, precision: int = 53) -> ComplexBox:
     """Certified enclosure of x under zeta_d -> exp(2*pi*i/d).
 
-    The box width is at most 2^(-precision+2) * max(1, height(x)): each
-    cos and sin interval has width <= 2^-work, and sum |c| < scale <=
-    2^bitlen(scale), so the width is below 2^(-precision-4).
+    The box is the interval sum of c_m [cos] + i c_m [sin] over the
+    coefficients c_m of x, with the _trig_enclosure intervals of the angles
+    2 pi m/d at one working precision.  At one precision every interval has
+    the form (C_m -+ E_m) / 2^w with the same w, so with c_m = a_m / D over
+    the common denominator D the sum is, exactly,
+
+        (sum a_m C_m -+ sum |a_m| E_m) / (D 2^w)
+
+    and likewise for the sines: integer products and sums, and one Fraction
+    per endpoint at the end.  The box width is at most
+    2^(-precision+2) * max(1, height(x)): the working precision is
+    work = precision + bitlen(scale) + 4 with scale = floor(sum |c_m|) + 1,
+    each cos and sin interval has width <= 2^-work, and
+    sum |c_m| < scale <= 2^bitlen(scale), so the width is below
+    2^(-precision-4).
     """
-    scale = int(sum(abs(c) for c in x.coeffs)) + 1
-    work = precision + scale.bit_length() + 4
-    re_lo = re_hi = Fraction(0)
-    im_lo = im_hi = Fraction(0)
-    for m, c in enumerate(x.coeffs):
-        if not c:
-            continue
-        (clo, chi), (slo, shi) = _trig_enclosure(m % x.d, x.d, work)
-        a, b = _scale_interval(clo, chi, c)
-        re_lo, re_hi = re_lo + a, re_hi + b
-        a, b = _scale_interval(slo, shi, c)
-        im_lo, im_hi = im_lo + a, im_hi + b
-    return ComplexBox(re_lo, re_hi, im_lo, im_hi)
+    re, im, err, den = _embed_fixed(x, precision)
+    return ComplexBox(Fraction(re - err, den), Fraction(re + err, den), Fraction(im - err, den), Fraction(im + err, den))
 
 
 _SIGN_PREC_CAP = 4096
@@ -583,10 +600,10 @@ def sign_real(x: CycloNum) -> int:
         return (q > 0) - (q < 0)
     prec = 64
     while prec <= _SIGN_PREC_CAP:
-        box = embed(x, prec)
-        if box.re_lo > 0:
+        re, _, err, _ = _embed_fixed(x, prec)
+        if re > err:
             return 1
-        if box.re_hi < 0:
+        if re < -err:
             return -1
         prec *= 2
     raise ArithmeticError("could not separate value from zero")
@@ -613,38 +630,70 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
 
     Returns an exact Fraction when x lies on a ray exp(i*pi*q) with
     2*d*q integral; otherwise a float with certified error < 1e-9.
+
+    One loop refines the box B of ``embed`` (64, 128, ... bits) until it
+    certifies the angle: with w = B.width() and r the larger distance of
+    its real and imaginary intervals from 0, a lower bound of |x|, r > 0,
+    w / r < 1e-10 and tol = 2d (w/r + 2^-46) < 1/2 (in floats).  From that
+    box, p = atan2(mid) / pi for the float midpoint mid and t = 2d p; when
+    the larger coordinate of the centre lies outside about [2^-1000, 2^1000],
+    both are first scaled by one power of two, which changes no angle.  Only k = round(t), and only when
+    |t - k| <= tol, gets the exact ray test (x zeta_4d^-k real and
+    positive); otherwise the result is p from the same box.
+
+    A skipped k cannot pass.  Let z be the value of x, m the exact centre of
+    B and u = 2^-53, with all angles in units of pi:
+
+    * |z - m| <= w / sqrt(2) and |m| >= r, so z lies in the disc of radius
+      (w / (sqrt(2) r)) |m| < |m| about m, and z and m are at most
+      arcsin(w / (sqrt(2) r)) / pi <= w / (2 sqrt(2) r) apart.
+    * Each coordinate of mid is correctly rounded, within u of itself or,
+      if subnormal, within 2^-1075 <= u max(|Re m|, |Im m|), so
+      |mid - m| <= u |m| and mid and m are at most u/2 apart.
+    * atan2 is allowed an error of 2^-46 radians (64 ulps at pi, far more
+      than C libraries make), i.e. 2^-46 / pi; dividing by math.pi adds at
+      most 3u on |p| <= 1 + u, and t = 2d p one more rounding of u |t|.
+
+    So t lies within 2d (w / (2 sqrt(2) r) + 4.5u + 2^-46 / pi)
+    < 2d (w / (2r) + 2^-47) of 2d q for the representative q of the phase
+    of x next to p, and tol as computed exceeds that bound.  If x lies on
+    the ray k0 / (2d), k0 = 2d q is an integer with |t - k0| < tol < 1/2,
+    so k0 = round(t), the test |t - k| <= tol passes (t - k is exact: a
+    float within 1/2 of an integer far below 2^52), and zeta_4d^-k0 x = |x|
+    passes the exact test.  Any k that passes the exact test puts x on its
+    ray, so it is k0 modulo 4d: every k skipped would have failed.
     """
     if x.is_zero():
         raise ZeroValueError("phase of zero is undefined")
     window_start = Fraction(window_start)
     d = x.d
-    box = embed(x, 64)
-    mid = box.midpoint()
-    approx = math.atan2(mid.imag, mid.real) / math.pi
-    approx_win = float(approx) + 2 * math.ceil((float(window_start) - approx) / 2)
-    # rational-ray detection: candidates with denominator dividing 2d
-    base = round(approx_win * 2 * d)
-    for k in (base, base - 1, base + 1):
-        q = _shift_into_window(Fraction(k, 2 * d), window_start)
-        y = x * cyclo(4 * d, -k)
-        if y.is_real() and sign_real(y) > 0:
-            return q
-    # certified float fallback
     prec = 64
     while prec <= _SIGN_PREC_CAP:
-        box = embed(x, prec)
-        r = box.abs_lower()
-        if r > 0 and box.width() / r < Fraction(1, 10**10):
-            mid = box.midpoint()
-            phase = math.atan2(mid.imag, mid.real) / math.pi
-            out = phase + 2 * math.ceil((float(window_start) - phase) / 2)
-            if out <= float(window_start):
-                out += 2.0
-            if out > float(window_start) + 2:
-                out -= 2.0
-            return out
+        re, im, err, den = _embed_fixed(x, prec)
+        r = max(abs(re), abs(im)) - err  # den * r when positive
+        if r > 0 and 2 * err * 10**10 < r:  # w / r < 1e-10, as w = 2 err / den
+            tol = 2 * d * (2 * err / r + 2.0**-46)
+            if tol < 0.5:
+                break
         prec *= 2
-    raise ArithmeticError("phase refinement did not converge")
+    else:
+        raise ArithmeticError("phase refinement did not converge")
+    shift = max(abs(re), abs(im)).bit_length() - den.bit_length()
+    if not -1000 < shift < 1000:
+        re, im, den = (re, im, den << shift) if shift > 0 else (re << -shift, im << -shift, den)
+    phase = math.atan2(im / den, re / den) / math.pi
+    t = 2 * d * phase
+    k = round(t)
+    if abs(t - k) <= tol:
+        y = x * cyclo(4 * d, -k)
+        if y.is_real() and sign_real(y) > 0:
+            return _shift_into_window(Fraction(k, 2 * d), window_start)
+    out = phase + 2 * math.ceil((float(window_start) - phase) / 2)
+    if out <= float(window_start):
+        out += 2.0
+    if out > float(window_start) + 2:
+        out -= 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------

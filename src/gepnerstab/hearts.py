@@ -118,6 +118,11 @@ class CaseLattice:
         """The form PhaseKey compares with, built on the first key."""
         return _PhaseForm(self)
 
+    @cached_property
+    def _charge_rows(self) -> "_IntegerCoords":
+        """C_W zg(e_i) in integer coordinates, built on the first absolute charge."""
+        return _IntegerCoords([[self.c_w * z for z in self.zg_row]])
+
     def tau_apply(self, v) -> KClass:
         n = self.rank
         return tuple(sum(self.tau_mat[i][j] * v[j] for j in range(n)) for i in range(n))
@@ -260,7 +265,16 @@ def zg_class(lat: CaseLattice, v) -> CycloNum:
 
 
 def zg_class_absolute(lat: CaseLattice, v) -> CycloNum:
-    return lat.c_w * zg_class(lat, v)
+    """C_W times zg_class(lat, v), as integer dot products with the charge rows.
+
+    C_W zg(v) = sum_i v_i C_W zg(e_i) in Q(zeta_N), N = lcm(d(C_W), d), whose
+    power basis gives each value one coordinate tuple.
+    """
+    rows = lat._charge_rows
+    coords = [0] * euler_phi(rows.conductor)
+    for s, row in zip(rows.slots, rows.exact[0]):
+        coords[s] = Fraction(sum(map(mul, row, v)), rows.den)
+    return CycloNum(rows.conductor, coords)
 
 
 def verify_gepner(lat: CaseLattice) -> bool:
@@ -308,6 +322,7 @@ def tilt_side(lat: CaseLattice, v, mu_value) -> str:
     return "torsion" if mu_value > 0 else "free"
 
 
+@lru_cache(maxsize=None)
 def _exact_cos(d: int) -> Fraction:
     val = (cyclo(d, 1) + cyclo(d, -1)) * Fraction(1, 2)
     return val.as_fraction()
@@ -344,7 +359,27 @@ def _rotation(lat: CaseLattice) -> CycloNum:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class _PhaseForm:
+class _IntegerCoords:
+    """Rows of cyclotomic numbers as integer coordinates over one denominator.
+
+    Every entry is promoted to Q(zeta_conductor), conductor the lcm of the
+    entries' d; ``exact[i][s][j]`` is the power-basis coordinate
+    ``slots[s]`` of den * entries[i][j] for one common denominator den > 0,
+    and ``slots`` are the coordinates nonzero in some entry.
+    """
+
+    def __init__(self, entries):
+        n = math.lcm(*(x.d for row in entries for x in row))
+        self.entries = [[x.promote(n) for x in row] for row in entries]
+        self.den = den = math.lcm(*(c.denominator for row in self.entries for x in row for c in x.coeffs))
+        self.conductor = n
+        self.slots = tuple(k for k in range(euler_phi(n)) if any(x.coeffs[k] for row in self.entries for x in row))
+        self.exact = tuple(
+            tuple(tuple(int(x.coeffs[k] * den) for x in row) for k in self.slots) for row in self.entries
+        )
+
+
+class _PhaseForm(_IntegerCoords):
     """The real bilinear form that PhaseKey compares with, exact and in floats.
 
     With y_i = exp(-i pi theta_dagger) zg(e_i) the rotated charges of the
@@ -356,10 +391,9 @@ class _PhaseForm:
     For classes a, b with rotated charges w_a, w_b (the rotation has
     modulus 1) this gives a^T F b = Im(conj(w_a) w_b), F[rank] . b = Im(w_b)
     and F[rank + 1] . b = -Re(w_b).  Every entry lies in Q(zeta_conductor);
-    ``exact[i][s][j]`` is the power-basis coordinate ``slots[s]`` of
-    D * F[i][j] for one common denominator D > 0 (``slots`` are the
-    coordinates nonzero in some entry), ``approx[i][j]`` a float of
-    F[i][j], and ``err`` the filter constant derived in PhaseKey.
+    ``exact`` holds the integer coordinates of den * F (see _IntegerCoords),
+    ``approx[i][j]`` a float of F[i][j], and ``err`` the filter constant
+    derived in PhaseKey.
     """
 
     def __init__(self, lat: CaseLattice):
@@ -374,25 +408,18 @@ class _PhaseForm:
                 entries[j][i] = -entries[i][j]
         entries.append([y.imag_part() for y in ys])
         entries.append([-y.real_part() for y in ys])
-        n = math.lcm(*(x.d for row in entries for x in row))
-        entries = [[x.promote(n) for x in row] for row in entries]
-        den = math.lcm(*(c.denominator for row in entries for x in row for c in x.coeffs))
-        self.conductor = n
-        self.slots = tuple(k for k in range(euler_phi(n)) if any(x.coeffs[k] for row in entries for x in row))
-        self.exact = tuple(
-            tuple(tuple(int(x.coeffs[k] * den) for x in row) for k in self.slots) for row in entries
-        )
+        super().__init__(entries)
         # a float of each distinct entry, and the largest distance to its exact value
         floats: dict = {}
         radius = Fraction(0)
-        for row in entries:
+        for row in self.entries:
             for x in row:
                 if x.coeffs not in floats:
                     box = embed(x, 64)
                     f = float((box.re_lo + box.re_hi) / 2)
                     floats[x.coeffs] = f
                     radius = max(radius, box.re_hi - Fraction(f), Fraction(f) - box.re_lo)
-        self.approx = tuple(tuple(floats[x.coeffs] for x in row) for row in entries)
+        self.approx = tuple(tuple(floats[x.coeffs] for x in row) for row in self.entries)
         gamma = (rank + 1) * _UNIT_ROUNDOFF / (1 - (rank + 1) * _UNIT_ROUNDOFF)
         self.err = 2 * (float(radius) + 3 * gamma * max(map(abs, floats.values())))
         self.im_row = _CrossRow(self, self.approx[rank], self.exact[rank], self.err)

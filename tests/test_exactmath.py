@@ -165,6 +165,36 @@ def test_trig_enclosure_contains_mpmath_values(prec):
                 assert lo - slack <= exact <= hi + slack, (d, k)
 
 
+def _embed_reference(x, precision):
+    # the interval sum of c_m [cos] + i c_m [sin] over Fraction intervals
+    scale = int(sum(abs(c) for c in x.coeffs)) + 1
+    work = precision + scale.bit_length() + 4
+    re_lo = re_hi = im_lo = im_hi = Fraction(0)
+    for m, c in enumerate(x.coeffs):
+        if c:
+            (clo, chi), (slo, shi) = _trig_enclosure(m, x.d, work)
+            re_lo += min(c * clo, c * chi)
+            re_hi += max(c * clo, c * chi)
+            im_lo += min(c * slo, c * shi)
+            im_hi += max(c * slo, c * shi)
+    return ComplexBox(re_lo, re_hi, im_lo, im_hi)
+
+
+@pytest.mark.parametrize("prec", ENCLOSURE_PRECS)
+def test_embed_equals_interval_sum(prec):
+    rng = random.Random(f"embed:{prec}")
+    samples = [CycloNum.zero(rng.randint(1, 48))]
+    for _ in range(40):
+        d = rng.randint(1, 48)
+        coeffs = [
+            Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)) if rng.random() < 0.8 else Fraction(0)
+            for _ in range(euler_phi(d))
+        ]
+        samples.append(CycloNum(d, coeffs))
+    for x in samples:
+        assert embed(x, prec) == _embed_reference(x, prec), x
+
+
 def test_embed_exact_zero_coordinates():
     # cos(pi/2) is exactly 0, so 4i has real part 0.0 (not a rounding residue)
     assert complex(4 * cyclo(4, 1)).real == 0.0
@@ -239,6 +269,18 @@ def test_phase_of_float_fallback():
     val = phase_of(3 + cyclo(4, 1), Fraction(-1))
     assert isinstance(val, float)
     assert abs(val - math.atan2(1, 3) / math.pi) < 1e-9
+
+
+def test_phase_of_exact_rays_beyond_the_first_box():
+    # u^n is tiny against its coefficients, so the 64-bit box cannot
+    # certify the angle; the ray must still be found
+    u = cyclo(5, 1) + cyclo(5, 4)
+    for n in (120, 160, 200):
+        un = u**n
+        for k in range(20):
+            q = phase_of(un * cyclo(20, k))
+            want = Fraction(k, 10) if k <= 10 else Fraction(k, 10) - 2
+            assert isinstance(q, Fraction) and q == want, (n, k, q)
 
 
 def test_norm():

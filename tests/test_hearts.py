@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gepnerstab.classify import enumerate_types
-from gepnerstab.exactmath import cyclo, phase_of, sign_real
+from gepnerstab.exactmath import CycloNum, cyclo, phase_of, sign_real
 from gepnerstab.hearts import (
     CaseLattice,
     UnsupportedCaseError,
@@ -140,6 +140,21 @@ def test_zg_class_absolute_identities():
         # Z(C(j)) = C_W zeta^j (1 - zeta) for all j, in every case
         for j in range(d):
             assert zg_class_absolute(L, L.class_of_c(j)) == L.c_w * z ** j * (1 - z)
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_zg_class_absolute_matches_cyclonum_sum(t):
+    # the integer charge rows against C_W * sum_i v_i zg(e_i) in CycloNums
+    L = lattice_for(t)
+    rng = random.Random(f"charge rows:{t}")
+    for _ in range(100):
+        v = tuple(rng.randint(-1000, 1000) for _ in range(L.rank))
+        acc = CycloNum.zero(t.degree)
+        for c, u in zip(v, L.zg_row):
+            acc = acc + c * u
+        want = L.c_w * acc
+        got = zg_class_absolute(L, v)
+        assert got.d == want.d and got.coeffs == want.coeffs, v
 
 
 def test_tau_rule_consistent_on_twisted_line_bundles():

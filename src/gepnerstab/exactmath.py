@@ -22,8 +22,9 @@ Conventions used throughout the package:
   interval arithmetic on the Fraction intervals, so containment is
   certified end to end.
 * ``phase_of`` certifies the angle of one box, and runs the exact ray
-  test only for the one ray within the certified error of it; the proof
-  that no other ray can pass is in its docstring.
+  test, on integers in Q(zeta_d), only for the one ray within the
+  certified error of it; the proof that this finds exactly x's ray is in
+  its docstring.
 """
 
 from __future__ import annotations
@@ -68,18 +69,19 @@ def euler_phi(d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(d: int) -> tuple[tuple[Fraction, ...], ...]:
-    # table[m] = coefficients of x^m mod Phi_d for 0 <= m <= max(2*phi-2, d-1)
+def _power_table(d: int) -> tuple[tuple[int, ...], ...]:
+    # table[m] = coefficients of x^m mod Phi_d for 0 <= m <= max(2*phi-2, d-1);
+    # integers, as Phi_d is monic with integer coefficients
     phi = euler_phi(d)
     top = max(2 * phi - 2, d - 1, phi)
     phi_poly = cyclotomic_polynomial(d)
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int, ...]] = []
     for m in range(phi):
-        rows.append(tuple(Fraction(1) if i == m else Fraction(0) for i in range(phi)))
+        rows.append(tuple(int(i == m) for i in range(phi)))
     for m in range(phi, top + 1):
         prev = rows[m - 1]
-        shifted = [Fraction(0)] + list(prev[: phi - 1])
+        shifted = [0] + list(prev[: phi - 1])
         lead = prev[phi - 1]
         if lead:
             for i in range(phi):
@@ -118,11 +120,11 @@ class CycloNum:
 
     def __init__(self, d: int, coeffs):
         phi = euler_phi(d)
-        cs = [Fraction(c) for c in coeffs]
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(cs) != phi:
             raise ValueError(f"need {phi} coefficients for d={d}, got {len(cs)}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
@@ -176,8 +178,19 @@ class CycloNum:
         return self.promote(n), other.promote(n)
 
     # -- ring operations ----------------------------------------------------
+    #
+    # A rational operand (int, Fraction or d = 1) promotes to (q, 0, ..., 0),
+    # so +, - and * with it change coefficient 0 or scale every coefficient:
+    # the same canonical form as promotion and the general product, without
+    # the convolution and reduction.  A rational self with a CycloNum other
+    # hands the operation to other's fast path.
 
     def __add__(self, other):
+        q = _rational_operand(other)
+        if q is not None:
+            return CycloNum(self.d, (self.coeffs[0] + q,) + self.coeffs[1:])
+        if self.d == 1 and isinstance(other, CycloNum):
+            return other + self.coeffs[0]
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
@@ -189,6 +202,11 @@ class CycloNum:
         return CycloNum(self.d, [-x for x in self.coeffs])
 
     def __sub__(self, other):
+        q = _rational_operand(other)
+        if q is not None:
+            return CycloNum(self.d, (self.coeffs[0] - q,) + self.coeffs[1:])
+        if self.d == 1 and isinstance(other, CycloNum):
+            return -other + self.coeffs[0]
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
@@ -198,6 +216,11 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
+        q = _rational_operand(other)
+        if q is not None:
+            return CycloNum(self.d, [c * q for c in self.coeffs])
+        if self.d == 1 and isinstance(other, CycloNum):
+            return other * self.coeffs[0]
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
@@ -338,6 +361,15 @@ class CycloNum:
         return CycloNum(obj["d"], [Fraction(s) for s in obj["coeffs"]])
 
 
+def _rational_operand(other):
+    """other as an int or Fraction if it is rational (int, Fraction or d = 1), else None."""
+    if isinstance(other, (int, Fraction)):
+        return other
+    if isinstance(other, CycloNum) and other.d == 1:
+        return other.coeffs[0]
+    return None
+
+
 def _poly_xgcd_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
     # return u with u*a = 1 mod modulus (gcd(a, modulus) = 1 is guaranteed
     # because the modulus is irreducible and a != 0)
@@ -400,8 +432,13 @@ def cyclo(d: int, k: int) -> CycloNum:
     """zeta_d^k in canonical form."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    table = _power_table(d)
-    return CycloNum(d, table[k % d])
+    return _root_of_unity(d, k % d)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(d: int, k: int) -> CycloNum:
+    # one shared value per (d, k): CycloNum is immutable
+    return CycloNum(d, _power_table(d)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +662,41 @@ def _shift_into_window(q, window_start):
     return q
 
 
+def _real_on_ray(x: CycloNum, k: int) -> bool:
+    """Whether x zeta_4d^-k is real, tested in Q(zeta_d) on integers.
+
+    x zeta_4d^-k is real iff it equals its conjugate, i.e. iff
+    x = conj(x) zeta_2d^k.  For even k, zeta_2d^k = zeta_d^(k/2); for odd d
+    and odd k, zeta_2d^k = -zeta_d^(k(d+1)/2), as -zeta_d^((d+1)/2) =
+    exp(i pi (1 + (d+1)/d)) = zeta_2d.  For even d and odd k, zeta_2d^k has
+    order 2d / gcd(k, 2d), with more factors 2 than d; the roots of unity
+    in Q(zeta_d) are the +-zeta_d^j, whose orders divide d when d is even,
+    so zeta_2d^k is not in Q(zeta_d) and cannot be x / conj(x): no nonzero
+    x passes.  With
+    zeta_2d^k = s zeta_d^e, conj(x) zeta_2d^k = s sum_m c_m zeta_d^(e-m), and
+    both sides are compared as integer numerators over x's common
+    denominator.
+    """
+    d = x.d
+    if k % 2 == 0:
+        e, sign = k // 2, 1
+    elif d % 2:
+        e, sign = k * (d + 1) // 2, -1
+    else:
+        return False
+    den = math.lcm(*(c.denominator for c in x.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    table = _power_table(d)
+    out = [0] * len(nums)
+    for m, a in enumerate(nums):
+        if a:
+            a *= sign
+            for i, r in enumerate(table[(e - m) % d]):
+                if r:
+                    out[i] += a * r
+    return out == nums
+
+
 def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     """Phase of x in (window_start, window_start + 2].
 
@@ -638,11 +710,12 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     box, p = atan2(mid) / pi for the float midpoint mid and t = 2d p; when
     the larger coordinate of the centre lies outside about [2^-1000, 2^1000],
     both are first scaled by one power of two, which changes no angle.  Only k = round(t), and only when
-    |t - k| <= tol, gets the exact ray test (x zeta_4d^-k real and
-    positive); otherwise the result is p from the same box.
+    |t - k| <= tol, gets the exact ray test (x zeta_4d^-k real, tested by
+    ``_real_on_ray`` in Q(zeta_d)); otherwise the result is p from the same
+    box.
 
-    A skipped k cannot pass.  Let z be the value of x, m the exact centre of
-    B and u = 2^-53, with all angles in units of pi:
+    No ray is missed, and a passing k is x's ray.  Let z be the value of x,
+    m the exact centre of B and u = 2^-53, with all angles in units of pi:
 
     * |z - m| <= w / sqrt(2) and |m| >= r, so z lies in the disc of radius
       (w / (sqrt(2) r)) |m| < |m| about m, and z and m are at most
@@ -660,8 +733,16 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     the ray k0 / (2d), k0 = 2d q is an integer with |t - k0| < tol < 1/2,
     so k0 = round(t), the test |t - k| <= tol passes (t - k is exact: a
     float within 1/2 of an integer far below 2^52), and zeta_4d^-k0 x = |x|
-    passes the exact test.  Any k that passes the exact test puts x on its
-    ray, so it is k0 modulo 4d: every k skipped would have failed.
+    passes the exact test.
+
+    The exact test checks only that x zeta_4d^-k is real, as x = conj(x)
+    zeta_2d^k in Q(zeta_d) (``_real_on_ray``, whose docstring shows why no
+    nonzero x passes for even d and odd k: zeta_2d^k is not in Q(zeta_d)).
+    Its sign needs no test.  A k that passes puts x on the ray k / (2d) or
+    on the opposite ray (k + 2d) / (2d).  In the second case
+    |t - (k + 2d + 4dj)| < tol for some integer j as well as |t - k| <= tol,
+    so 2d <= |2d + 4dj| < 2 tol < 1, which is impossible.  So the passing k
+    is x's ray, k0 modulo 4d.
     """
     if x.is_zero():
         raise ZeroValueError("phase of zero is undefined")
@@ -684,10 +765,8 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     phase = math.atan2(im / den, re / den) / math.pi
     t = 2 * d * phase
     k = round(t)
-    if abs(t - k) <= tol:
-        y = x * cyclo(4 * d, -k)
-        if y.is_real() and sign_real(y) > 0:
-            return _shift_into_window(Fraction(k, 2 * d), window_start)
+    if abs(t - k) <= tol and _real_on_ray(x, k):
+        return _shift_into_window(Fraction(k, 2 * d), window_start)
     out = phase + 2 * math.ceil((float(window_start) - phase) / 2)
     if out <= float(window_start):
         out += 2.0

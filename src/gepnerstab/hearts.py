@@ -33,6 +33,7 @@ from .classify import FIVE_CASES, geometry_of, is_stacky_free, normalize_gcd
 from .exactmath import (
     CycloNum,
     RationalPhase,
+    ResourceLimitError,
     cyclo,
     embed,
     euler_phi,
@@ -699,6 +700,14 @@ class FinitePhaseTable:
         return len(self.entries)
 
 
+MAX_FINITE_PHASES = 10_000  # entries of one finite phase table
+
+
+def _refuse_large_table(wtype: WeightedType, entries: int) -> None:
+    if entries > MAX_FINITE_PHASES:
+        raise ResourceLimitError(f"{wtype} has {entries} indecomposables; finite phase tables stop at {MAX_FINITE_PHASES}")
+
+
 def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
     """Phase table of all indecomposables for n = 1 or n = 2 with eps >= 0.
 
@@ -706,7 +715,9 @@ def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
     A(m - a l) -> A(m), phase -1/2 - a l/d + 2m/d, for m mod d and
     1 <= l <= d' - 1.  n = 2, eps = 0: entry C(j), phase phi0 + 2j/d with
     phi0 the exact phase of zg(C(0)) in (-1, 1].  Every entry is asserted
-    ray-consistent with the exact central charge.
+    ray-consistent with the exact central charge.  A table of more than
+    MAX_FINITE_PHASES entries (d (d' - 1) for n = 1, d for n = 2) raises
+    ResourceLimitError before any entry is computed.
     """
     d = wtype.degree
     entries: dict[str, Fraction] = {}
@@ -715,6 +726,7 @@ def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
         if d % a != 0 or d // a < 2:
             raise UnsupportedCaseError(f"{wtype} has no nonzero objects")
         dp = d // a
+        _refuse_large_table(wtype, d * (dp - 1))
         for m in range(d):
             for ell in range(1, dp):
                 phi = Fraction(-1, 2) - Fraction(a * ell, d) + Fraction(2 * m, d)
@@ -730,6 +742,7 @@ def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
         red, _ = normalize_gcd(wtype)
         if math.gcd(red.weights[0], red.weights[1]) != 1:
             raise UnsupportedCaseError("weights must be coprime after normalization")
+        _refuse_large_table(wtype, d)
         phi0 = phase_of(zg(koszul_c(wtype, 0)), Fraction(-1))
         if not isinstance(phi0, Fraction):
             raise ArithmeticError("base phase must be rational")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,18 @@ def test_phases_command():
     assert "tauPsiOx" in proc.stdout
     proc2 = run_cli("phases", "--type", "1:4")
     assert "Q[0,1]" in proc2.stdout
+
+
+def test_phases_refuses_large_one_variable_tables(capsys):
+    # 1:200 has 39,800 entries; it used to run for minutes, 1:100000 forever
+    t0 = time.perf_counter()
+    assert main(["phases", "--type", "1:200"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: (1;200) has 39800 indecomposables; finite phase tables stop at 10000\n"
+    proc = run_cli("phases", "--type", "1:60")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "3540 indecomposables (shift by [k] adds k)"
 
 
 def test_ext_command():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from gepnerstab.exactmath import (
     ComplexBox,
     CycloNum,
     ZeroValueError,
+    _power_table,
+    _real_on_ray,
+    _reduce,
     _trig_enclosure,
     cyclo,
     cyclotomic_polynomial,
@@ -281,6 +285,87 @@ def test_phase_of_exact_rays_beyond_the_first_box():
             q = phase_of(un * cyclo(20, k))
             want = Fraction(k, 10) if k <= 10 else Fraction(k, 10) - 2
             assert isinstance(q, Fraction) and q == want, (n, k, q)
+
+
+def _ray_values(rng, d):
+    """Seeded values on rays: a real value times zeta_d^j and factors 1 +- zeta_d^j."""
+    out = []
+    for _ in range(3):
+        x = _random_elt(rng, d)
+        x = x + x.conjugate()
+        for _ in range(rng.randint(1, 2)):
+            j = rng.randrange(d)
+            x = x * rng.choice((cyclo(d, j), 1 + cyclo(d, j), 1 - cyclo(d, j)))
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 25))
+def test_real_on_ray_matches_the_definition_in_q_zeta_4d(d):
+    rng = random.Random(30_000 + d)
+    rays = [x for x in _ray_values(rng, d) if not x.is_zero()]
+    for x in rays + [_random_elt(rng, d) for _ in range(2)]:
+        passing = []
+        for k in range(4 * d):
+            got = _real_on_ray(x, k)
+            assert got == (x * cyclo(4 * d, -k)).is_real(), (x, k)
+            assert _real_on_ray(x, k - 4 * d) == got  # phase_of passes k = round(t) < 0 too
+            if got:
+                passing.append(k)
+        if x in rays:
+            # x zeta_4d^-k is real on x's ray and on the opposite one
+            assert len(passing) == 2 and passing[1] - passing[0] == 2 * d, (x, passing)
+
+
+def test_power_table_rows_are_integers():
+    for d in (1, 2, 5, 12, 30):
+        assert all(type(c) is int for row in _power_table(d) for c in row)
+    assert all(type(c) is Fraction for c in cyclo(12, 5).coeffs)
+    half = Fraction(1, 2)
+    assert CycloNum(3, [half, 1]).coeffs[0] is half
+    assert type(CycloNum(3, [half, 1]).coeffs[1]) is Fraction
+
+
+def _general(op, a, b):
+    """a op b the general way: promote both, then add coefficients or reduce the convolution."""
+    n = math.lcm(a.d, b.d)
+    a, b = a.promote(n), b.promote(n)
+    if op is not operator.mul:
+        return CycloNum(n, [op(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+    conv = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    return CycloNum(n, _reduce(n, conv))
+
+
+RATIONALS = (0, 3, -7, True, False, Fraction(-5, 3), Fraction(0), CycloNum(1, [Fraction(2, 7)]), CycloNum(1, [0]))
+
+
+def test_rational_operands_match_the_general_path():
+    rng = random.Random(515)
+    for _ in range(120):
+        d = rng.randint(1, 24)
+        x = CycloNum.zero(d) if rng.random() < 0.05 else _random_elt(rng, d)
+        for c in RATIONALS:
+            cx = c if isinstance(c, CycloNum) else CycloNum.from_rational(c)
+            for op in (operator.add, operator.sub, operator.mul):
+                for got, want in ((op(x, c), _general(op, x, cx)), (op(c, x), _general(op, cx, x))):
+                    assert got.d == want.d == d, (x, c, op)
+                    assert [(v.numerator, v.denominator) for v in got.coeffs] == [
+                        (v.numerator, v.denominator) for v in want.coeffs
+                    ], (x, c, op)
+                    assert all(type(v) is Fraction for v in got.coeffs)
+
+
+@pytest.mark.parametrize("other", [1.5, "1", None])
+def test_non_rational_operands_raise_type_error(other):
+    for x in (cyclo(5, 2) + Fraction(1, 3), CycloNum.from_rational(Fraction(3, 4))):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
 
 
 def test_norm():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gepnerstab.classify import enumerate_types
-from gepnerstab.exactmath import CycloNum, cyclo, phase_of, sign_real
+from gepnerstab import hearts
+from gepnerstab.exactmath import CycloNum, ResourceLimitError, cyclo, phase_of, sign_real
 from gepnerstab.hearts import (
     CaseLattice,
     UnsupportedCaseError,
@@ -395,6 +396,19 @@ def test_finite_phases_n1_with_weight():
     t = WeightedType((2,), 8)  # reduces to d' = 4
     table = finite_phases(t)
     assert table.phase("Q[0,1]") == Fraction(-1, 2) - Fraction(2, 8)
+
+
+def test_finite_phases_refuses_large_tables(monkeypatch):
+    # 1:101 has 101 * 100 entries; refused before any is computed
+    with pytest.raises(ResourceLimitError, match="10100 indecomposables"):
+        finite_phases(WeightedType((1,), 101))
+    with pytest.raises(ResourceLimitError, match="10001 indecomposables"):
+        finite_phases(WeightedType((10000, 1), 10001))
+    # the bound is inclusive: d (d' - 1) = 12 entries pass at a bound of 12
+    monkeypatch.setattr(hearts, "MAX_FINITE_PHASES", 12)
+    assert len(finite_phases(WeightedType((1,), 4))) == 12
+    with pytest.raises(ResourceLimitError):
+        finite_phases(WeightedType((1,), 5))
 
 
 def test_finite_phases_n2():

@@ -584,10 +584,15 @@ class ComplexBox:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
 
+def _numerators(x: CycloNum) -> tuple[list[int], int]:
+    """x's coefficients as integer numerators over their common denominator."""
+    den = math.lcm(*(c.denominator for c in x.coeffs))
+    return [c.numerator * (den // c.denominator) for c in x.coeffs], den
+
+
 def _embed_fixed(x: CycloNum, precision: int) -> tuple[int, int, int, int]:
     """(re, im, err, den): embed(x, precision) is (re +- err) / den + i (im +- err) / den."""
-    den = math.lcm(*(c.denominator for c in x.coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    nums, den = _numerators(x)
     scale = sum(map(abs, nums)) // den + 1  # floor(sum |c_m|) + 1
     work = precision + scale.bit_length() + 4
     re = im = err = w = 0
@@ -684,8 +689,7 @@ def _real_on_ray(x: CycloNum, k: int) -> bool:
         e, sign = k * (d + 1) // 2, -1
     else:
         return False
-    den = math.lcm(*(c.denominator for c in x.coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
+    nums, _ = _numerators(x)
     table = _power_table(d)
     out = [0] * len(nums)
     for m, a in enumerate(nums):

@@ -224,6 +224,9 @@ def cmd_ext(args) -> int:
     from .extcalc import ext_cc, ext_cm
 
     wtype = WeightedType.parse(args.type)
+    if wtype.n != 2:
+        print(f"ext needs a two-variable type, got {wtype}", file=sys.stderr)
+        return 2
     src = args.src.strip()
     tgt = args.tgt.strip()
     if not (src.startswith("C(") and src.endswith(")")):

@@ -17,12 +17,25 @@ chain lifts; the basis of each one-dimensional Ext^2 is normalized so
 that the commuting pattern reads as in the quiver presentation
 (x1 o x2 - x2 o x1, and p2 * x1 o u - p1 * x2 o u at a point).  The
 coefficient ratio is basis-independent and asserted exactly.
+
+Each piece of this layer is built once: ``resolution_for`` keeps one
+resolution (with its checked splitting and its three differentials) per
+type, ``_point_module_at`` one PointModule per (type, point) and
+``_point_complex_at`` one HomComplex per (type, j, point).  A PointModule
+remembers the value of each polynomial it has evaluated, and a HomComplex
+each differential (as tuples) and its rank.  Sharing them is safe because
+Poly, CycloNum and WeightedType are never mutated and every key is a
+value: the type, j, and each point coordinate's (d, coeffs), since
+CycloNum has no hash.  The witnesses and tables handed to callers are new
+lists on every call.  The point caches are bounded, as their keys come
+from the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from .exactmath import CycloNum, mat_kernel, mat_rank, solve_in_span
 from .mfcore import WeightedType
@@ -118,13 +131,13 @@ class PeriodicResolution:
         """Matrix of F_i -> F_{i-1}; rows indexed by F_{i-1}, columns by F_i."""
         if i < 1:
             raise ValueError("differentials start at stage 1")
+        return self._diffs[0 if i == 1 else 1 if i % 2 == 0 else 2]
+
+    @cached_property
+    def _diffs(self):
         x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
         s = self.split
-        if i == 1:
-            return ((x1, x2),)
-        if i % 2 == 0:
-            return ((s.w1, -x2), (s.w2, x1))
-        return ((x1, x2), (-s.w2, s.w1))
+        return (((x1, x2),), ((s.w1, -x2), (s.w2, x1)), ((x1, x2), (-s.w2, s.w1)))
 
     def check_exactness(self, periods: int = 6) -> bool:
         """Consecutive compositions vanish modulo W, exactly."""
@@ -141,6 +154,7 @@ class PeriodicResolution:
         return True
 
 
+@lru_cache(maxsize=64)
 def resolution_for(wtype: WeightedType) -> PeriodicResolution:
     return PeriodicResolution(wtype, split_w(wtype.fermat_polynomial(), wtype))
 
@@ -170,6 +184,8 @@ class PointModule:
 
     wtype: WeightedType
     point: tuple[CycloNum, CycloNum]
+    # value of each polynomial at the point, filled by act
+    _values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.wtype.fermat_polynomial()
@@ -188,7 +204,10 @@ class PointModule:
             raise ValueError("action needs a homogeneous polynomial")
         if self.dim(k) == 0 or self.dim(k + deg) == 0:
             return CycloNum.zero()
-        return poly.eval_cyclo(self.point)
+        value = self._values.get(poly)
+        if value is None:
+            value = self._values[poly] = poly.eval_cyclo(self.point)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +226,8 @@ class HomComplex:
         self.res = res
         self.j = j
         self.target = target
+        self._matrices: dict[int, tuple] = {}
+        self._ranks: dict[int, int] = {}
 
     def slot_degrees(self, i: int) -> list[int]:
         return [-t - self.j for t in self.res.twists(i)]
@@ -218,27 +239,29 @@ class HomComplex:
         return len(self.slots(i))
 
     def differential(self, i: int):
-        """Matrix of Hom stage i -> stage i+1 over the exact field."""
-        rows = self.slots(i + 1)
-        cols = self.slots(i)
-        degs = self.slot_degrees(i)
-        d = self.res.diff(i + 1)  # F_{i+1} -> F_i
-        out = []
-        for rc in rows:
-            row = []
-            for cc in cols:
-                row.append(self.target.act(d[cc][rc], degs[cc]))
-            out.append(row)
-        return out
+        """Matrix of Hom stage i -> stage i+1 over the exact field, built once (tuples)."""
+        if i not in self._matrices:
+            cols = self.slots(i)
+            degs = self.slot_degrees(i)
+            d = self.res.diff(i + 1)  # F_{i+1} -> F_i
+            self._matrices[i] = tuple(
+                tuple(self.target.act(d[cc][rc], degs[cc]) for cc in cols) for rc in self.slots(i + 1)
+            )
+        return self._matrices[i]
+
+    def rank(self, i: int) -> int:
+        if i not in self._ranks:
+            self._ranks[i] = mat_rank(self.differential(i))
+        return self._ranks[i]
 
     def cocycle_from_slots(self, i: int, values: dict[int, CycloNum]):
         return [values.get(c, CycloNum.zero()) for c in self.slots(i)]
 
     def cohomology_dim(self, i: int) -> int:
-        ker = self.dim(i) - mat_rank(self.differential(i))
+        ker = self.dim(i) - self.rank(i)
         if i == 0:
             return ker
-        return ker - mat_rank(self.differential(i - 1))
+        return ker - self.rank(i - 1)
 
     def is_cocycle(self, i: int, vec) -> bool:
         d_i = self.differential(i)
@@ -317,8 +340,19 @@ def ext_cc_closed_form(wtype: WeightedType, j: int, i: int) -> int:
     return 0
 
 
-def _point_module(wtype: WeightedType, point) -> PointModule:
-    return PointModule(wtype, tuple(point))
+def _point_complex(wtype: WeightedType, j: int, point) -> HomComplex:
+    # CycloNum has no hash, so the key is each coordinate's (d, coeffs)
+    return _point_complex_at(wtype, j, tuple((x.d, x.coeffs) for x in point))
+
+
+@lru_cache(maxsize=1024)
+def _point_complex_at(wtype: WeightedType, j: int, key) -> HomComplex:
+    return HomComplex(resolution_for(wtype), j, _point_module_at(wtype, key))
+
+
+@lru_cache(maxsize=256)
+def _point_module_at(wtype: WeightedType, key) -> PointModule:
+    return PointModule(wtype, tuple(CycloNum(d, coeffs) for d, coeffs in key))
 
 
 def u_witness(wtype: WeightedType, j: int, point) -> dict[int, CycloNum]:
@@ -329,7 +363,7 @@ def u_witness(wtype: WeightedType, j: int, point) -> dict[int, CycloNum]:
 
 def v_witness(wtype: WeightedType, j: int, point) -> dict[int, CycloNum]:
     """Slot values of v_j = v e_{d-j} + e_{a1+a2-j}, v = W2(p)/p1."""
-    split = split_w(wtype.fermat_polynomial(), wtype)
+    split = resolution_for(wtype).split
     p1, p2 = point
     v = split.w2.eval_cyclo(point) / p1
     # sanity: v = -W1(p)/p2 as well
@@ -347,9 +381,11 @@ def ext_cm(wtype: WeightedType, j: int, point, i: int):
     """
     a1, a2 = wtype.weights
     d = wtype.degree
+    if d - a1 - a2 <= 0:
+        raise ValueError(f"{wtype} has no j with Hom^i(C(j), PsiO_x) in range")
     if not 0 <= j < d - a1 - a2:
         raise ValueError(f"j = {j} outside the range 0..{d - a1 - a2 - 1}")
-    cx = HomComplex(resolution_for(wtype), j, _point_module(wtype, point))
+    cx = _point_complex(wtype, j, point)
     dim = cx.cohomology_dim(i)
     witness = None
     if dim == 1 and i == 1 and 0 <= j < a2:
@@ -392,7 +428,7 @@ def _chain_maps(wtype: WeightedType):
     components are pi_k : F_1(a_k) -> G_0 and g_k : F_2(a_k) -> G_1; the
     commuting square pi_k . h = (x1, x2) . g_k is asserted exactly.
     """
-    split = split_w(wtype.fermat_polynomial(), wtype)
+    split = resolution_for(wtype).split
     one, zero = Poly.const(2, 1), Poly.zero(2)
     x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
     pi = {1: ((one, zero),), 2: ((zero, one),)}
@@ -453,8 +489,8 @@ def yoneda_cm_pattern(wtype: WeightedType, j: int, point) -> dict[str, CycloNum]
     if not (a1 <= j < a1 + a2 and 0 <= j < d - a1 - a2):
         raise ValueError("no degree-2 point class at this j")
     _, pi, g = _chain_maps(wtype)
-    target = _point_module(wtype, tuple(point))
-    cx2 = HomComplex(resolution_for(wtype), j, target)
+    cx2 = _point_complex(wtype, j, point)
+    target = cx2.target
     v_vec = cx2.cocycle_from_slots(2, v_witness(wtype, j, point))
     raw: dict[str, CycloNum] = {}
     for k, a_k in ((1, a1), (2, a2)):

@@ -60,24 +60,37 @@ KClass = tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def points_of(wtype: WeightedType) -> list[tuple[CycloNum, CycloNum]]:
+MAX_CURVE_DEGREE = 100  # d of a two-variable type whose points or finite phases are computed
+
+
+def _refuse_large_degree(wtype: WeightedType) -> None:
+    """ResourceLimitError if wtype's points or phases would live in too large a Q(zeta_d)."""
+    if wtype.degree > MAX_CURVE_DEGREE:
+        raise ResourceLimitError(
+            f"{wtype} has degree {wtype.degree}; exact points and phases of two-variable types stop at d = {MAX_CURVE_DEGREE}"
+        )
+
+
+@lru_cache(maxsize=64)
+def points_of(wtype: WeightedType) -> tuple[tuple[CycloNum, CycloNum], ...]:
     """Exact coordinates of the points of the binary Fermat hypersurface.
 
     One representative per orbit of the weighted scaling; coordinates are
     cyclotomic integers (rational whenever an orbit has a rational
-    representative).
+    representative).  Cached per type: the tuple and its CycloNums are
+    immutable, so callers share it safely.  A degree above
+    MAX_CURVE_DEGREE raises ResourceLimitError before any point is built.
     """
-    a1, a2 = wtype.weights
+    _refuse_large_degree(wtype)
     d = wtype.degree
+    chart = (*wtype.weights, d)
     one = CycloNum.one()
-    if (a1, a2) == (1, 1):
-        pts = [(cyclo(2 * d, 2 * j + 1), one) for j in range(d)]
-    elif (a1, a2, d) == (2, 1, 4):
-        pts = [(cyclo(4, 1), one), (cyclo(4, 3), one)]
-    elif (a1, a2, d) == (3, 1, 6):
-        pts = [(cyclo(4, 1), one), (cyclo(4, 3), one)]
-    elif (a1, a2, d) == (3, 2, 6):
-        pts = [(one, -one)]
+    if wtype.weights == (1, 1):
+        pts = tuple((cyclo(2 * d, 2 * j + 1), one) for j in range(d))
+    elif chart in ((2, 1, 4), (3, 1, 6)):
+        pts = ((cyclo(4, 1), one), (cyclo(4, 3), one))
+    elif chart == (3, 2, 6):
+        pts = ((one, -one),)
     else:
         raise UnsupportedCaseError(f"no point chart for {wtype}")
     w = wtype.fermat_polynomial()
@@ -196,7 +209,7 @@ def build_lattice(wtype: WeightedType) -> CaseLattice:
         tau_cols = [(1 - h, h), (-1, 1)]
         theta = cst.theta_w
     elif (n, eps) == (2, -1):
-        points = tuple(points_of(wtype))
+        points = points_of(wtype)
         nx = len(points)
         basis = ("C(0)",) + tuple(f"PsiO(p{j + 1})" for j in range(nx))
         zg_row = (1 - z,) + tuple(CycloNum.from_rational(-1, d) for _ in range(nx))
@@ -226,7 +239,7 @@ def build_lattice(wtype: WeightedType) -> CaseLattice:
         ]
         theta = cst.theta_w
     else:  # (2, -2)
-        points = tuple(points_of(wtype))
+        points = points_of(wtype)
         nx = len(points)
         basis = ("C(1)", "C(0)") + tuple(f"PsiO(p{j + 1})" for j in range(nx))
         zg_row = (z - z * z, 1 - z) + tuple(CycloNum.from_rational(-1, d) for _ in range(nx))
@@ -716,8 +729,9 @@ def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
     1 <= l <= d' - 1.  n = 2, eps = 0: entry C(j), phase phi0 + 2j/d with
     phi0 the exact phase of zg(C(0)) in (-1, 1].  Every entry is asserted
     ray-consistent with the exact central charge.  A table of more than
-    MAX_FINITE_PHASES entries (d (d' - 1) for n = 1, d for n = 2) raises
-    ResourceLimitError before any entry is computed.
+    MAX_FINITE_PHASES entries (d (d' - 1) for n = 1, d for n = 2), or an
+    n = 2 degree above MAX_CURVE_DEGREE, raises ResourceLimitError before
+    any entry is computed.
     """
     d = wtype.degree
     entries: dict[str, Fraction] = {}
@@ -743,6 +757,7 @@ def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
         if math.gcd(red.weights[0], red.weights[1]) != 1:
             raise UnsupportedCaseError("weights must be coprime after normalization")
         _refuse_large_table(wtype, d)
+        _refuse_large_degree(wtype)
         phi0 = phase_of(zg(koszul_c(wtype, 0)), Fraction(-1))
         if not isinstance(phi0, Fraction):
             raise ArithmeticError("base phase must be rational")

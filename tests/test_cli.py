@@ -202,6 +202,47 @@ def test_ext_point_out_of_range():
         assert "--point must be in 1..4" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ext", "--type", "1,1,1:4", "--from", "C(1)", "--to", "C(0)"), "ext needs a two-variable type, got (1,1,1;4)\n"),
+        (("ext", "--type", "1:4", "--from", "C(1)", "--to", "point"), "ext needs a two-variable type, got (1;4)\n"),
+        (("ext", "--type", "1,1:2", "--from", "C(1)", "--to", "point"), "error: (1,1;2) has no j with Hom^i(C(j), PsiO_x) in range\n"),
+    ],
+)
+def test_ext_rejects_types_without_a_table(argv, message):
+    # these printed unpacking errors and an empty range 0..-1
+    proc = run_cli(*argv)
+    assert_usage_error(proc)
+    assert proc.stderr == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ext", "--type", "1,1:500", "--from", "C(1)", "--to", "point"),
+        ("ext", "--type", "1,1:99999", "--from", "C(1)", "--to", "point"),
+        ("phases", "--type", "1,999:1000"),
+        ("phases", "--type", "1,9999:10000"),
+    ],
+)
+def test_two_variable_degree_bound(argv, capsys):
+    # 1,1:500 took 4.3 s and 1,999:1000 4.4 s; the larger ones ran for minutes
+    t0 = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.endswith("exact points and phases of two-variable types stop at d = 100\n")
+
+
+def test_two_variable_degree_bound_is_inclusive(capsys):
+    assert main(["ext", "--type", "1,1:100", "--from", "C(1)", "--to", "point", "--point", "100"]) == 0
+    assert main(["phases", "--type", "1,99:100"]) == 0
+    assert main(["ext", "--type", "1,1:101", "--from", "C(1)", "--to", "point"]) == 2
+    assert main(["phases", "--type", "1,100:101"]) == 2
+
+
 def test_hn_missing_file(tmp_path):
     assert_usage_error(run_cli("hn", "--rep", str(tmp_path / "missing.json")))
 
@@ -280,6 +321,8 @@ def test_commands_import_only_their_modules():
     assert "gepnerstab.quiverrep" in loaded and "mpmath" not in loaded
     loaded = loaded_by("hn", "--type", "1,1:3", "--rep", str(GOLDEN / "sample_rep_113.json"))
     assert "gepnerstab.quiverrep" in loaded and "mpmath" not in loaded
+    loaded = loaded_by("ext", "--type", "1,1:4", "--from", "C(1)", "--to", "C(0)")
+    assert "gepnerstab.extcalc" in loaded and not loaded & {"mpmath", "gepnerstab.hearts", "gepnerstab.quiverrep"}
 
 
 def test_package_names_resolve_on_first_access():

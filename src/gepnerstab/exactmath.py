@@ -809,31 +809,10 @@ def _rref(mat):
 
 
 def mat_rank(mat) -> int:
-    """Rank by fraction-free elimination: no inverse is taken.
-
-    Below each pivot p, row_i becomes p row_i - f row_r with f = row_i[c].
-    That kills column c, and since p != 0 it is an invertible row operation,
-    so the rank is that of the echelon form reached, its number of pivots.
-    """
     if not mat or not mat[0]:
         return 0
     work = [row[:] for row in mat]
-    rows, cols = len(work), len(work[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not work[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        p = work[r][c]
-        for i in range(r + 1, rows):
-            f = work[i][c]
-            if not f.is_zero():
-                work[i] = [p * x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_rref(work))
 
 
 def mat_kernel(mat):

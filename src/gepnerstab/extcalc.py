@@ -20,15 +20,14 @@ coefficient ratio is basis-independent and asserted exactly.
 
 Each piece of this layer is built once: ``resolution_for`` keeps one
 resolution (with its checked splitting and its three differentials) per
-type, ``_point_module_at`` one PointModule per (type, point) and
-``_point_complex_at`` one HomComplex per (type, j, point).  A PointModule
-remembers the value of each polynomial it has evaluated, and a HomComplex
-each differential (as tuples) and its rank.  Sharing them is safe because
-Poly, CycloNum and WeightedType are never mutated and every key is a
-value: the type, j, and each point coordinate's (d, coeffs), since
-CycloNum has no hash.  The witnesses and tables handed to callers are new
-lists on every call.  The point caches are bounded, as their keys come
-from the caller.
+type, and ``_point_complex_at`` one HomComplex per (type, j, point), with
+its PointModule.  A PointModule remembers the value of each polynomial it
+has evaluated, and a HomComplex each differential (as tuples) and its
+rank.  Sharing them is safe because Poly, CycloNum and WeightedType are
+never mutated and every key is a value: the type, j, and each point
+coordinate's (d, coeffs), since CycloNum has no hash.  The witnesses and tables handed to callers are new
+lists on every call.  The point cache is bounded, as its keys come from
+the caller.
 """
 
 from __future__ import annotations
@@ -347,12 +346,8 @@ def _point_complex(wtype: WeightedType, j: int, point) -> HomComplex:
 
 @lru_cache(maxsize=1024)
 def _point_complex_at(wtype: WeightedType, j: int, key) -> HomComplex:
-    return HomComplex(resolution_for(wtype), j, _point_module_at(wtype, key))
-
-
-@lru_cache(maxsize=256)
-def _point_module_at(wtype: WeightedType, key) -> PointModule:
-    return PointModule(wtype, tuple(CycloNum(d, coeffs) for d, coeffs in key))
+    point = tuple(CycloNum(d, coeffs) for d, coeffs in key)
+    return HomComplex(resolution_for(wtype), j, PointModule(wtype, point))
 
 
 def u_witness(wtype: WeightedType, j: int, point) -> dict[int, CycloNum]:

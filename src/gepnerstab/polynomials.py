@@ -149,17 +149,13 @@ class Poly:
     # -- evaluation ------------------------------------------------------------
 
     def eval_cyclo(self, point) -> CycloNum:
-        """Evaluate at a tuple of CycloNum coordinates; each power x_i^e is computed once."""
-        powers: dict[tuple[int, int], CycloNum] = {}
+        """Evaluate at a tuple of CycloNum coordinates."""
         acc = CycloNum.zero()
         for m, c in self.terms.items():
             term = CycloNum.from_rational(c)
             for i, e in enumerate(m):
                 if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[(i, e)] = point[i] ** e
-                    term = term * power
+                    term = term * point[i] ** e
             acc = acc + term
         return acc
 

@@ -220,6 +220,16 @@ def cmd_phases(args) -> int:
     return _emit(args, report, [f"theta_W = {constants(wtype).theta_w}"])
 
 
+def _twist_of(text: str) -> int | None:
+    """j for an object written C(j) with an integer j, else None."""
+    if text.startswith("C(") and text.endswith(")"):
+        try:
+            return int(text[2:-1])
+        except ValueError:
+            pass
+    return None
+
+
 def cmd_ext(args) -> int:
     from .extcalc import ext_cc, ext_cm
 
@@ -229,12 +239,15 @@ def cmd_ext(args) -> int:
         return 2
     src = args.src.strip()
     tgt = args.tgt.strip()
-    if not (src.startswith("C(") and src.endswith(")")):
-        print("--from must be C(j)", file=sys.stderr)
+    j = _twist_of(src)
+    if j is None:
+        print(f"--from must be C(j) with an integer j, got {src!r}", file=sys.stderr)
         return 2
-    j = int(src[2:-1])
     if tgt.startswith("C("):
-        j0 = int(tgt[2:-1])
+        j0 = _twist_of(tgt)
+        if j0 is None:
+            print(f"--to must be C(j) with an integer j, or point, got {tgt!r}", file=sys.stderr)
+            return 2
         table = {i: ext_cc(wtype, j - j0, i) for i in range(4)}
         label = f"Hom^i(C({j}), C({j0}))"
     elif tgt in ("point", "PsiOx"):
@@ -248,7 +261,7 @@ def cmd_ext(args) -> int:
         table = {i: ext_cm(wtype, j, point, i)[0] for i in range(4)}
         label = f"Hom^i(C({j}), PsiO(p{args.point}))"
     else:
-        print("--to must be C(j) or point", file=sys.stderr)
+        print(f"--to must be C(j) with an integer j, or point, got {tgt!r}", file=sys.stderr)
         return 2
     lines = [label] + [f"  i = {i}: dim {d}" for i, d in table.items()]
     return _emit(

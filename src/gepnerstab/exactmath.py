@@ -4,10 +4,12 @@ Conventions used throughout the package:
 
 * ``zeta_d`` denotes ``exp(2*pi*i/d)``.  An element of Q(zeta_d) is stored
   in the power basis ``1, zeta, ..., zeta^(phi(d)-1)`` of
-  ``Q[x]/(Phi_d(x))`` with Fraction coefficients, fully reduced modulo the
-  d-th cyclotomic polynomial ``Phi_d``.  Two values with the same ``d`` are
-  equal iff their coefficient tuples are equal; values with different ``d``
-  are compared after promotion to the lcm field.
+  ``Q[x]/(Phi_d(x))``, fully reduced modulo the d-th cyclotomic polynomial
+  ``Phi_d``, as integer numerators over one denominator in canonical form
+  (den > 0, gcd(den, *num) = 1; see ``CycloNum``), so all ring arithmetic
+  is on ints.  Two values with the same ``d`` are equal iff their
+  (numerators, denominator) are equal; values with different ``d`` are
+  compared after promotion to the lcm field.
 * A *phase* ``q`` stands for the ray ``R_{>0} * exp(i*pi*q)``.  Rational
   phases are plain ``Fraction`` objects (exact arithmetic and comparison);
   irrational phases are returned as floats with certified error < 1e-9.
@@ -17,8 +19,8 @@ Conventions used throughout the package:
   series with argument halving; Brent and Zimmermann, Modern Computer
   Arithmetic, ch. 4) whose error bound is proved in ``_octant_cos_sin``.
   At one precision all of them share one fixed-point scale 2^w, so
-  ``embed`` sums integer numerators (x over its common denominator times
-  the cos and sin values) and divides once: the same box as rational
+  ``embed`` sums x's stored integer numerators ``x.num`` times the cos and
+  sin values and divides once by ``x.den`` 2^w: the same box as rational
   interval arithmetic on the Fraction intervals, so containment is
   certified end to end.
 * ``phase_of`` certifies the angle of one box, and runs the exact ray
@@ -90,18 +92,24 @@ def _power_table(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce(d: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _sparse_power_table(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # the nonzero (i, table[m][i]) of each row of _power_table(d)
+    return tuple(tuple((i, r) for i, r in enumerate(row) if r) for row in _power_table(d))
+
+
+def _reduce(d: int, coeffs) -> list[int]:
+    """Integer coefficients of sum_m coeffs[m] x^m mod Phi_d (ints in, ints out)."""
     phi = euler_phi(d)
-    table = _power_table(d)
-    out = [Fraction(0)] * phi
-    for m, c in enumerate(coeffs):
-        if not c:
-            continue
-        row = table[m]
-        for i in range(phi):
-            if row[i]:
-                out[i] += c * row[i]
-    return tuple(out)
+    out = list(coeffs[:phi])
+    out += [0] * (phi - len(out))
+    table = _sparse_power_table(d)
+    for m in range(phi, len(coeffs)):
+        c = coeffs[m]
+        if c:
+            for i, r in table[m]:
+                out[i] += c * r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +120,30 @@ def _reduce(d: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
 class CycloNum:
     """An element of Q(zeta_d) in canonical power-basis form.
 
+    Stored as (d, num, den): num is a tuple of phi(d) ints and den an int,
+    and the value is sum_m (num[m] / den) zeta_d^m.  The form is canonical:
+    den > 0, gcd(den, *num) = 1, so zero is (0, ..., 0) over 1 and two
+    values of one field are equal iff their (num, den) are.  Every ring
+    operation works on these integers and normalises its result with one
+    gcd; ``coeffs`` gives the Fraction coefficients for printing.
+
     Immutable; all arithmetic returns new values.  Mixed-d arithmetic
     promotes both operands to Q(zeta_lcm).
     """
 
-    __slots__ = ("d", "coeffs")
+    __slots__ = ("d", "num", "den")
 
     def __init__(self, d: int, coeffs):
+        """The element with power-basis coefficients coeffs (ints, Fractions or what Fraction accepts)."""
         phi = euler_phi(d)
-        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         if len(cs) != phi:
             raise ValueError(f"need {phi} coefficients for d={d}, got {len(cs)}")
+        den = math.lcm(*(c.denominator for c in cs))
+        # over the lcm of the reduced denominators gcd(den, *num) is already 1
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
@@ -138,12 +157,26 @@ class CycloNum:
     def __reduce__(self):
         return (CycloNum, (self.d, self.coeffs))
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients num[m] / den as Fractions."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_numerators(d: int, num, den: int = 1) -> "CycloNum":
+        """sum_m (num[m] / den) zeta_d^m, for ints num (phi(d) of them) and den != 0."""
+        if len(num) != euler_phi(d):
+            raise ValueError(f"need {euler_phi(d)} numerators for d={d}, got {len(num)}")
+        return _canonical(d, num, den)
+
+    @staticmethod
     def from_rational(q, d: int = 1) -> "CycloNum":
-        phi = euler_phi(d)
-        return CycloNum(d, [Fraction(q)] + [Fraction(0)] * (phi - 1))
+        if type(q) is not int:
+            q = Fraction(q)
+        return _new(d, (q.numerator,) + (0,) * (euler_phi(d) - 1), q.denominator)
 
     @staticmethod
     def zero(d: int = 1) -> "CycloNum":
@@ -162,16 +195,15 @@ class CycloNum:
         if n % self.d != 0:
             raise ValueError(f"cannot promote d={self.d} into d={n}")
         step = n // self.d
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for m, c in enumerate(self.coeffs):
-            raw[m * step] = c
-        return CycloNum(n, _reduce(n, raw))
+        raw = [0] * ((len(self.num) - 1) * step + 1)
+        raw[::step] = self.num
+        return _canonical(n, _reduce(n, raw), self.den)
 
     def _pair(self, other) -> tuple["CycloNum", "CycloNum"]:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not CycloNum:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented, NotImplemented
             other = CycloNum.from_rational(other, 1)
-        if not isinstance(other, CycloNum):
-            return NotImplemented, NotImplemented
         if self.d == other.d:
             return self, other
         n = math.lcm(self.d, other.d)
@@ -179,71 +211,79 @@ class CycloNum:
 
     # -- ring operations ----------------------------------------------------
     #
-    # A rational operand (int, Fraction or d = 1) promotes to (q, 0, ..., 0),
-    # so +, - and * with it change coefficient 0 or scale every coefficient:
-    # the same canonical form as promotion and the general product, without
-    # the convolution and reduction.  A rational self with a CycloNum other
-    # hands the operation to other's fast path.
+    # A rational operand p/q (int, Fraction or d = 1) promotes to
+    # (p, 0, ..., 0) over q, so +, - and * with it change numerator 0 or
+    # scale every numerator: the same canonical form as promotion and the
+    # general product, without the convolution and reduction.  A rational
+    # self with a CycloNum other hands the operation to other's fast path.
 
     def __add__(self, other):
-        q = _rational_operand(other)
-        if q is not None:
-            return CycloNum(self.d, (self.coeffs[0] + q,) + self.coeffs[1:])
-        if self.d == 1 and isinstance(other, CycloNum):
-            return other + self.coeffs[0]
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CycloNum(a.d, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloNum(self.d, [-x for x in self.coeffs])
-
     def __sub__(self, other):
-        q = _rational_operand(other)
-        if q is not None:
-            return CycloNum(self.d, (self.coeffs[0] - q,) + self.coeffs[1:])
-        if self.d == 1 and isinstance(other, CycloNum):
-            return -other + self.coeffs[0]
-        a, b = self._pair(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return CycloNum(a.d, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def __neg__(self):
+        return _new(self.d, tuple(-a for a in self.num), self.den)
+
+    def _add(self, other, sign: int):
+        """self + sign * other; a cross-multiply when the denominators differ."""
         q = _rational_operand(other)
         if q is not None:
-            return CycloNum(self.d, [c * q for c in self.coeffs])
-        if self.d == 1 and isinstance(other, CycloNum):
-            return other * self.coeffs[0]
+            p, q = q
+            num = [a * q for a in self.num]
+            num[0] += sign * p * self.den
+            return _canonical(self.d, num, self.den * q)
+        if self.d == 1 and type(other) is CycloNum:
+            return (other if sign == 1 else -other) + self
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        n = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        p, q = a.den, b.den
+        if p == q:
+            return _canonical(a.d, [x + sign * y for x, y in zip(a.num, b.num)], p)
+        return _canonical(a.d, [x * q + sign * y * p for x, y in zip(a.num, b.num)], p * q)
+
+    def __mul__(self, other):
+        q = _rational_operand(other)
+        if q is not None:
+            p, q = q
+            return _canonical(self.d, [a * p for a in self.num], self.den * q)
+        if self.d == 1 and type(other) is CycloNum:
+            return other * self
+        a, b = self._pair(other)
+        if a is NotImplemented:
+            return NotImplemented
+        n = len(a.num)
+        conv = [0] * (2 * n - 1)
+        bs = [(j, y) for j, y in enumerate(b.num) if y]
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in bs:
                     conv[i + j] += x * y
-        return CycloNum(a.d, _reduce(a.d, conv))
+        return _canonical(a.d, _reduce(a.d, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via extended Euclid against Phi_d."""
+        """Multiplicative inverse via extended Euclid against Phi_d.
+
+        x = a / den for the integer polynomial a = num, so 1/x = den / a: the
+        Euclid runs on a's integer coefficients, and its result u (with
+        u a = 1 mod Phi_d) goes back to integer numerators over one
+        denominator.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.d)]
-        a = list(self.coeffs)
-        u = _poly_xgcd_mod(a, phi_poly)
-        return CycloNum(self.d, _reduce(self.d, u))
+        u = _poly_xgcd_mod([Fraction(a) for a in self.num], phi_poly)
+        den = math.lcm(*(c.denominator for c in u))
+        return _canonical(self.d, _reduce(self.d, [c.numerator * (den // c.denominator) * self.den for c in u]), den)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -272,7 +312,7 @@ class CycloNum:
         a, b = self._pair(other)
         if a is NotImplemented:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -281,31 +321,28 @@ class CycloNum:
     __hash__ = None  # mixed-d equality makes a consistent hash impractical
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, k: int) -> "CycloNum":
         """Apply zeta -> zeta^k (requires gcd(k, d) = 1)."""
-        if math.gcd(k % self.d if self.d > 1 else 1, self.d) != 1:
+        d = self.d
+        if math.gcd(k % d if d > 1 else 1, d) != 1:
             raise ValueError("galois exponent must be coprime to d")
-        table = _power_table(self.d)
-        phi = euler_phi(self.d)
-        out = [Fraction(0)] * phi
-        for m, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            row = table[(m * k) % self.d]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-        return CycloNum(self.d, out)
+        table = _sparse_power_table(d)
+        out = [0] * len(self.num)
+        for m, c in enumerate(self.num):
+            if c:
+                for i, r in table[(m * k) % d]:
+                    out[i] += c * r
+        return _canonical(d, out, self.den)
 
     def conjugate(self) -> "CycloNum":
         """Complex conjugation, zeta -> zeta^{-1}."""
@@ -332,7 +369,7 @@ class CycloNum:
         return acc.as_fraction()
 
     def height(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self.num)), self.den)
 
     # -- numerics ------------------------------------------------------------
 
@@ -341,7 +378,7 @@ class CycloNum:
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycloNum({self.coeffs[0]})"
+            return f"CycloNum({self.as_fraction()})"
         terms = []
         for m, c in enumerate(self.coeffs):
             if c == 0:
@@ -361,12 +398,34 @@ class CycloNum:
         return CycloNum(obj["d"], [Fraction(s) for s in obj["coeffs"]])
 
 
+_set_d, _set_num, _set_den = (CycloNum.__dict__[a].__set__ for a in CycloNum.__slots__)
+
+
+def _new(d: int, num: tuple, den: int) -> CycloNum:
+    """The CycloNum (d, num, den), for a num and den already in canonical form."""
+    x = object.__new__(CycloNum)
+    _set_d(x, d)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _canonical(d: int, num, den: int) -> CycloNum:
+    """sum_m (num[m] / den) zeta_d^m for ints num and den != 0, divided down to canonical form."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return _new(d, tuple(a // g for a in num), den // g)
+    return _new(d, tuple(num), den)
+
+
 def _rational_operand(other):
-    """other as an int or Fraction if it is rational (int, Fraction or d = 1), else None."""
+    """other as (numerator, denominator > 0) if it is rational (int, Fraction or d = 1), else None."""
+    if type(other) is CycloNum:  # first: isinstance with Fraction's ABC is slow
+        return (other.num[0], other.den) if other.d == 1 else None
     if isinstance(other, (int, Fraction)):
-        return other
-    if isinstance(other, CycloNum) and other.d == 1:
-        return other.coeffs[0]
+        return int(other.numerator), int(other.denominator)
     return None
 
 
@@ -438,7 +497,7 @@ def cyclo(d: int, k: int) -> CycloNum:
 @lru_cache(maxsize=None)
 def _root_of_unity(d: int, k: int) -> CycloNum:
     # one shared value per (d, k): CycloNum is immutable
-    return CycloNum(d, _power_table(d)[k])
+    return _new(d, _power_table(d)[k], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -584,15 +643,9 @@ class ComplexBox:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
 
-def _numerators(x: CycloNum) -> tuple[list[int], int]:
-    """x's coefficients as integer numerators over their common denominator."""
-    den = math.lcm(*(c.denominator for c in x.coeffs))
-    return [c.numerator * (den // c.denominator) for c in x.coeffs], den
-
-
 def _embed_fixed(x: CycloNum, precision: int) -> tuple[int, int, int, int]:
     """(re, im, err, den): embed(x, precision) is (re +- err) / den + i (im +- err) / den."""
-    nums, den = _numerators(x)
+    nums, den = x.num, x.den
     scale = sum(map(abs, nums)) // den + 1  # floor(sum |c_m|) + 1
     work = precision + scale.bit_length() + 4
     re = im = err = w = 0
@@ -611,8 +664,9 @@ def embed(x: CycloNum, precision: int = 53) -> ComplexBox:
     The box is the interval sum of c_m [cos] + i c_m [sin] over the
     coefficients c_m of x, with the _trig_enclosure intervals of the angles
     2 pi m/d at one working precision.  At one precision every interval has
-    the form (C_m -+ E_m) / 2^w with the same w, so with c_m = a_m / D over
-    the common denominator D the sum is, exactly,
+    the form (C_m -+ E_m) / 2^w with the same w, so with c_m = a_m / D read
+    from x's stored numerators a_m = x.num[m] and denominator D = x.den the
+    sum is, exactly,
 
         (sum a_m C_m -+ sum |a_m| E_m) / (D 2^w)
 
@@ -656,17 +710,6 @@ def sign_real(x: CycloNum) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _shift_into_window(q, window_start):
-    # smallest representative in (window_start, window_start + 2]
-    t = math.ceil((window_start - q) / 2)
-    q = q + 2 * t
-    if q <= window_start:
-        q += 2
-    if q > window_start + 2:
-        q -= 2
-    return q
-
-
 def _real_on_ray(x: CycloNum, k: int) -> bool:
     """Whether x zeta_4d^-k is real, tested in Q(zeta_d) on integers.
 
@@ -679,8 +722,7 @@ def _real_on_ray(x: CycloNum, k: int) -> bool:
     so zeta_2d^k is not in Q(zeta_d) and cannot be x / conj(x): no nonzero
     x passes.  With
     zeta_2d^k = s zeta_d^e, conj(x) zeta_2d^k = s sum_m c_m zeta_d^(e-m), and
-    both sides are compared as integer numerators over x's common
-    denominator.
+    both sides are compared as integer numerators over x.den.
     """
     d = x.d
     if k % 2 == 0:
@@ -689,16 +731,15 @@ def _real_on_ray(x: CycloNum, k: int) -> bool:
         e, sign = k * (d + 1) // 2, -1
     else:
         return False
-    nums, _ = _numerators(x)
-    table = _power_table(d)
+    nums = x.num
+    table = _sparse_power_table(d)
     out = [0] * len(nums)
     for m, a in enumerate(nums):
         if a:
             a *= sign
-            for i, r in enumerate(table[(e - m) % d]):
-                if r:
-                    out[i] += a * r
-    return out == nums
+            for i, r in table[(e - m) % d]:
+                out[i] += a * r
+    return tuple(out) == nums
 
 
 def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
@@ -770,7 +811,9 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     t = 2 * d * phase
     k = round(t)
     if abs(t - k) <= tol and _real_on_ray(x, k):
-        return _shift_into_window(Fraction(k, 2 * d), window_start)
+        # k/(2d) + 2j for the j = floor((w + 2 - k/(2d)) / 2) that puts it in (w, w + 2], w = a/b
+        a, b = window_start.numerator, window_start.denominator
+        return Fraction(k + 4 * d * ((2 * d * (a + 2 * b) - k * b) // (4 * d * b)), 2 * d)
     out = phase + 2 * math.ceil((float(window_start) - phase) / 2)
     if out <= float(window_start):
         out += 2.0

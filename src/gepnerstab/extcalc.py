@@ -25,9 +25,9 @@ its PointModule.  A PointModule remembers the value of each polynomial it
 has evaluated, and a HomComplex each differential (as tuples) and its
 rank.  Sharing them is safe because Poly, CycloNum and WeightedType are
 never mutated and every key is a value: the type, j, and each point
-coordinate's (d, coeffs), since CycloNum has no hash.  The witnesses and tables handed to callers are new
-lists on every call.  The point cache is bounded, as its keys come from
-the caller.
+coordinate's (d, num, den), since CycloNum has no hash.  The witnesses
+and tables handed to callers are new lists on every call.  The point
+cache is bounded, as its keys come from the caller.
 """
 
 from __future__ import annotations
@@ -340,13 +340,13 @@ def ext_cc_closed_form(wtype: WeightedType, j: int, i: int) -> int:
 
 
 def _point_complex(wtype: WeightedType, j: int, point) -> HomComplex:
-    # CycloNum has no hash, so the key is each coordinate's (d, coeffs)
-    return _point_complex_at(wtype, j, tuple((x.d, x.coeffs) for x in point))
+    # CycloNum has no hash, so the key is each coordinate's (d, num, den)
+    return _point_complex_at(wtype, j, tuple((x.d, x.num, x.den) for x in point))
 
 
 @lru_cache(maxsize=1024)
 def _point_complex_at(wtype: WeightedType, j: int, key) -> HomComplex:
-    point = tuple(CycloNum(d, coeffs) for d, coeffs in key)
+    point = tuple(CycloNum.from_numerators(*k) for k in key)
     return HomComplex(resolution_for(wtype), j, PointModule(wtype, point))
 
 

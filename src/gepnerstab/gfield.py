@@ -22,7 +22,6 @@ image, and builds an RREF only for bounds, kernels and witnesses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, isqrt, prod
@@ -153,26 +152,20 @@ class GF:
             n += 1
         return n
 
-    def from_fraction(self, fr) -> int:
-        fr = Fraction(fr)
-        if fr.denominator % self.p == 0:
-            raise BadReductionError(f"denominator divisible by {self.p}")
-        num = fr.numerator % self.p
-        den_inv = self.inv[fr.denominator % self.p]
-        return self.mul[num][den_inv]
-
     def reduce_cyclo(self, x: CycloNum, conductor: int) -> int:
         """Reduce a cyclotomic number via zeta_conductor -> fixed root."""
         if conductor % x.d:
             raise BadReductionError(f"conductor {conductor} not divisible by {x.d}")
         y = x.promote(conductor)
+        if y.den % self.p == 0:
+            raise BadReductionError(f"denominator divisible by {self.p}")
         root = self.root_of_unity(conductor)
         acc, power = 0, 1
-        for c in y.coeffs:
-            if c:
-                acc = self.add[acc][self.mul[self.from_fraction(c)][power]]
+        for a in y.num:
+            if a:
+                acc = self.add[acc][self.mul[a % self.p][power]]
             power = self.mul[power][root]
-        return acc
+        return self.mul[acc][self.inv[y.den % self.p]]
 
 
 def field_degree(p: int, conductor: int) -> int:

@@ -287,8 +287,8 @@ def zg_class_absolute(lat: CaseLattice, v) -> CycloNum:
     rows = lat._charge_rows
     coords = [0] * euler_phi(rows.conductor)
     for s, row in zip(rows.slots, rows.exact[0]):
-        coords[s] = Fraction(sum(map(mul, row, v)), rows.den)
-    return CycloNum(rows.conductor, coords)
+        coords[s] = sum(map(mul, row, v))
+    return CycloNum.from_numerators(rows.conductor, coords, rows.den)
 
 
 def verify_gepner(lat: CaseLattice) -> bool:
@@ -385,11 +385,11 @@ class _IntegerCoords:
     def __init__(self, entries):
         n = math.lcm(*(x.d for row in entries for x in row))
         self.entries = [[x.promote(n) for x in row] for row in entries]
-        self.den = den = math.lcm(*(c.denominator for row in self.entries for x in row for c in x.coeffs))
+        self.den = den = math.lcm(*(x.den for row in self.entries for x in row))
         self.conductor = n
-        self.slots = tuple(k for k in range(euler_phi(n)) if any(x.coeffs[k] for row in self.entries for x in row))
+        self.slots = tuple(k for k in range(euler_phi(n)) if any(x.num[k] for row in self.entries for x in row))
         self.exact = tuple(
-            tuple(tuple(int(x.coeffs[k] * den) for x in row) for k in self.slots) for row in self.entries
+            tuple(tuple(x.num[k] * (den // x.den) for x in row) for k in self.slots) for row in self.entries
         )
 
 
@@ -428,12 +428,12 @@ class _PhaseForm(_IntegerCoords):
         radius = Fraction(0)
         for row in self.entries:
             for x in row:
-                if x.coeffs not in floats:
+                if (x.d, x.num, x.den) not in floats:
                     box = embed(x, 64)
                     f = float((box.re_lo + box.re_hi) / 2)
-                    floats[x.coeffs] = f
+                    floats[x.d, x.num, x.den] = f
                     radius = max(radius, box.re_hi - Fraction(f), Fraction(f) - box.re_lo)
-        self.approx = tuple(tuple(floats[x.coeffs] for x in row) for row in self.entries)
+        self.approx = tuple(tuple(floats[x.d, x.num, x.den] for x in row) for row in self.entries)
         gamma = (rank + 1) * _UNIT_ROUNDOFF / (1 - (rank + 1) * _UNIT_ROUNDOFF)
         self.err = 2 * (float(radius) + 3 * gamma * max(map(abs, floats.values())))
         self.im_row = _CrossRow(self, self.approx[rank], self.exact[rank], self.err)
@@ -479,7 +479,7 @@ class _CrossRow:
         full = [0] * euler_phi(self.form.conductor)
         for s, c in zip(self.form.slots, coords):
             full[s] = c
-        return sign_real(CycloNum(self.form.conductor, full))
+        return sign_real(CycloNum.from_numerators(self.form.conductor, full))
 
 
 class PhaseKey:
@@ -743,7 +743,7 @@ def finite_phases(wtype: WeightedType) -> FinitePhaseTable:
         _refuse_large_table(wtype, d * (dp - 1))
         for m in range(d):
             for ell in range(1, dp):
-                phi = Fraction(-1, 2) - Fraction(a * ell, d) + Fraction(2 * m, d)
+                phi = Fraction(4 * m - 2 * a * ell - d, 2 * d)  # -1/2 - a l/d + 2m/d
                 val = cyclo(d, m - a * ell) - cyclo(d, m)
                 got = phase_of(val, phi - 1)
                 if got != phi:

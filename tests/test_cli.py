@@ -208,10 +208,13 @@ def test_ext_point_out_of_range():
         (("ext", "--type", "1,1,1:4", "--from", "C(1)", "--to", "C(0)"), "ext needs a two-variable type, got (1,1,1;4)\n"),
         (("ext", "--type", "1:4", "--from", "C(1)", "--to", "point"), "ext needs a two-variable type, got (1;4)\n"),
         (("ext", "--type", "1,1:2", "--from", "C(1)", "--to", "point"), "error: (1,1;2) has no j with Hom^i(C(j), PsiO_x) in range\n"),
+        # these two printed Python's "invalid literal for int()" message
+        (("ext", "--type", "1,1:4", "--from", "C(x)", "--to", "C(0)"), "--from must be C(j) with an integer j, got 'C(x)'\n"),
+        (("ext", "--type", "1,1:4", "--from", "C(1)", "--to", "C(0"), "--to must be C(j) with an integer j, or point, got 'C(0'\n"),
     ],
 )
 def test_ext_rejects_types_without_a_table(argv, message):
-    # these printed unpacking errors and an empty range 0..-1
+    # the first three printed unpacking errors and an empty range 0..-1
     proc = run_cli(*argv)
     assert_usage_error(proc)
     assert proc.stderr == message

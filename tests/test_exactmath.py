@@ -11,7 +11,6 @@ from gepnerstab.exactmath import (
     ZeroValueError,
     _power_table,
     _real_on_ray,
-    _reduce,
     _trig_enclosure,
     cyclo,
     cyclotomic_polynomial,
@@ -322,21 +321,105 @@ def test_power_table_rows_are_integers():
         assert all(type(c) is int for row in _power_table(d) for c in row)
     assert all(type(c) is Fraction for c in cyclo(12, 5).coeffs)
     half = Fraction(1, 2)
-    assert CycloNum(3, [half, 1]).coeffs[0] is half
-    assert type(CycloNum(3, [half, 1]).coeffs[1]) is Fraction
+    x = CycloNum(3, [half, 1])
+    assert x.num == (1, 2) and x.den == 2 and all(type(a) is int for a in x.num)
+    assert x.coeffs == (half, 1) and all(type(c) is Fraction for c in x.coeffs)
+
+
+# An oracle that shares no arithmetic with CycloNum: Fraction polynomials
+# reduced by long division modulo Phi_d.
+
+
+def _ref_reduce(d, poly):
+    """Fraction coefficients of poly mod Phi_d, phi(d) of them."""
+    phi_poly = cyclotomic_polynomial(d)
+    phi = len(phi_poly) - 1
+    rem = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, phi - len(poly))
+    for top in range(len(rem) - 1, phi - 1, -1):
+        c = rem[top]
+        if c:
+            for i, p in enumerate(phi_poly):
+                rem[top - phi + i] -= c * p
+    return tuple(rem[:phi])
+
+
+def _ref_in(x, n):
+    """x's Fraction coefficients in Q(zeta_n), d | n: zeta_d^m = zeta_n^(m n/d)."""
+    step = n // x.d
+    raw = [Fraction(0)] * (step * (len(x.coeffs) - 1) + 1)
+    for m, c in enumerate(x.coeffs):
+        raw[m * step] = c
+    return _ref_reduce(n, raw)
+
+
+def _ref_mul(n, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(n, conv)
 
 
 def _general(op, a, b):
-    """a op b the general way: promote both, then add coefficients or reduce the convolution."""
+    """(n, coefficients) of a op b from the oracle, n = lcm(a.d, b.d)."""
     n = math.lcm(a.d, b.d)
-    a, b = a.promote(n), b.promote(n)
-    if op is not operator.mul:
-        return CycloNum(n, [op(x, y) for x, y in zip(a.coeffs, b.coeffs)])
-    conv = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            conv[i + j] += x * y
-    return CycloNum(n, _reduce(n, conv))
+    a, b = _ref_in(a, n), _ref_in(b, n)
+    if op is operator.mul:
+        return n, _ref_mul(n, a, b)
+    return n, tuple(op(x, y) for x, y in zip(a, b))
+
+
+def _assert_canonical(x, want=None):
+    """x is in canonical form and, if given, is the value (d, Fraction coefficients) want."""
+    assert type(x.den) is int and x.den > 0, x
+    assert all(type(a) is int for a in x.num), x
+    assert math.gcd(x.den, *x.num) == 1, x
+    assert len(x.num) == euler_phi(x.d)
+    if not any(x.num):
+        assert x.den == 1
+    if want is not None:
+        d, coeffs = want
+        den = math.lcm(*(c.denominator for c in coeffs))
+        # equal values have equal (num, den)
+        assert (x.d, x.num, x.den) == (d, tuple(int(c * den) for c in coeffs), den), (x, want)
+        assert x.coeffs == coeffs
+
+
+def test_from_numerators_normalises():
+    x = CycloNum.from_numerators(3, (2, -4), -6)
+    assert (x.num, x.den) == ((-1, 2), 3)
+    _assert_canonical(x, (3, (Fraction(-1, 3), Fraction(2, 3))))
+    z = CycloNum.from_numerators(5, (0, 0, 0, 0), -7)
+    assert (z.num, z.den) == ((0, 0, 0, 0), 1) and z == 0
+    assert CycloNum.from_numerators(4, (6, 9), 3) == CycloNum(4, [2, 3])
+    with pytest.raises(ValueError):
+        CycloNum.from_numerators(4, (1, 2, 3), 1)
+
+
+@pytest.mark.parametrize("same_field", [True, False])
+def test_arithmetic_matches_the_independent_oracle(same_field):
+    rng = random.Random(1212 + same_field)
+    for _ in range(150):
+        d = rng.randint(1, 30)
+        e = d if same_field else rng.choice([f for f in range(1, 31) if math.lcm(d, f) <= 60])
+        x = CycloNum.zero(d) if rng.random() < 0.05 else _random_elt(rng, d)
+        y = _random_elt(rng, e) if rng.random() < 0.8 else cyclo(e, rng.randrange(e))
+        for op in (operator.add, operator.sub, operator.mul):
+            got = op(x, y)
+            _assert_canonical(got, _general(op, x, y))
+            assert (op(x, y) == op(y, x)) == (op is not operator.sub or x == y)
+        n = d * rng.randint(1, 3)
+        _assert_canonical(x.promote(n), (n, _ref_in(x, n)))
+        k = next(k for k in range(rng.randint(1, 2 * d), 4 * d + 2) if math.gcd(k, d) == 1)
+        image = [Fraction(0)] * d
+        for m, c in enumerate(x.coeffs):
+            image[m * k % d] += c
+        _assert_canonical(x.galois(k), (d, _ref_reduce(d, image)))
+        _assert_canonical(x.conjugate())
+        if not y.is_zero():
+            inv = y.inverse()
+            _assert_canonical(inv)
+            assert _ref_mul(e, _ref_in(y, e), _ref_in(inv, e)) == (1,) + (0,) * (euler_phi(e) - 1)
 
 
 RATIONALS = (0, 3, -7, True, False, Fraction(-5, 3), Fraction(0), CycloNum(1, [Fraction(2, 7)]), CycloNum(1, [0]))
@@ -351,10 +434,8 @@ def test_rational_operands_match_the_general_path():
             cx = c if isinstance(c, CycloNum) else CycloNum.from_rational(c)
             for op in (operator.add, operator.sub, operator.mul):
                 for got, want in ((op(x, c), _general(op, x, cx)), (op(c, x), _general(op, cx, x))):
-                    assert got.d == want.d == d, (x, c, op)
-                    assert [(v.numerator, v.denominator) for v in got.coeffs] == [
-                        (v.numerator, v.denominator) for v in want.coeffs
-                    ], (x, c, op)
+                    assert got.d == want[0] == d, (x, c, op)
+                    _assert_canonical(got, want)
                     assert all(type(v) is Fraction for v in got.coeffs)
 
 

@@ -27,6 +27,12 @@ Conventions used throughout the package:
   test, on integers in Q(zeta_d), only for the one ray within the
   certified error of it; the proof that this finds exactly x's ray is in
   its docstring.
+* The package's one row reduction, ``_rref``, is at the end of this
+  module, with ``rank``, ``kernel`` and ``solve`` on top of it.  They run
+  over any field object that supplies zero, one, reciprocal, negate and
+  the row operations scale and eliminate: ``QZETA`` (Q(zeta_d), CycloNum
+  entries) for the Ext tables and the eigen-row, and ``gfield.GF`` for
+  ``gfield.span`` and ``gfield.kernel``.
 """
 
 from __future__ import annotations
@@ -271,19 +277,16 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via extended Euclid against Phi_d.
+        """Multiplicative inverse from the Galois conjugates.
 
-        x = a / den for the integer polynomial a = num, so 1/x = den / a: the
-        Euclid runs on a's integer coefficients, and its result u (with
-        u a = 1 mod Phi_d) goes back to integer numerators over one
-        denominator.
+        The norm N = x * rho, rho = prod sigma_k(x) over 1 < k < d with
+        gcd(k, d) = 1, is the product of all conjugates, so it is rational
+        and nonzero for x != 0, and 1/x = rho / N: integer products only.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.d)]
-        u = _poly_xgcd_mod([Fraction(a) for a in self.num], phi_poly)
-        den = math.lcm(*(c.denominator for c in u))
-        return _canonical(self.d, _reduce(self.d, [c.numerator * (den // c.denominator) * self.den for c in u]), den)
+        rho = self._other_conjugates()
+        return rho * (1 / (self * rho).as_fraction())
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -322,6 +325,10 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def __bool__(self) -> bool:
+        """False iff the value is zero, in any field."""
+        return any(self.num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -362,11 +369,15 @@ class CycloNum:
 
     def norm(self) -> Fraction:
         """Field norm down to Q (product of all Galois conjugates)."""
+        return (self * self._other_conjugates()).as_fraction()
+
+    def _other_conjugates(self) -> "CycloNum":
+        """prod sigma_k(x) over 1 < k < d with gcd(k, d) = 1: every conjugate but x."""
         acc = CycloNum.one(self.d)
-        for k in range(1, self.d + 1):
+        for k in range(2, self.d):
             if math.gcd(k, self.d) == 1:
                 acc = acc * self.galois(k)
-        return acc.as_fraction()
+        return acc
 
     def height(self) -> Fraction:
         return Fraction(max(map(abs, self.num)), self.den)
@@ -429,62 +440,17 @@ def _rational_operand(other):
     return None
 
 
-def _poly_xgcd_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    # return u with u*a = 1 mod modulus (gcd(a, modulus) = 1 is guaranteed
-    # because the modulus is irreducible and a != 0)
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def trim(p):
-        d = deg(p)
-        return p[: d + 1] if d >= 0 else []
-
-    r0, r1 = trim(modulus), trim(a)
-    s0, s1 = [], [Fraction(1)]
-    while deg(r1) > 0:
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1, s0, s1 = r1, trim(r), s1, trim(s)
-    if deg(r1) != 0:
-        raise ZeroDivisionError("element not invertible")
-    c = r1[0]
-    return [x / c for x in s1]
-
-
-def _poly_divmod(num: list, den):
-    """Quotient and remainder of polynomials (low-to-high coefficients).
-
-    Coefficients are Fractions, or ints when den is monic: a monic divisor
-    needs no division, so integer input stays integral (and fast).
-    """
-    num = num[:]
+def _poly_divmod(num, den):
+    """Quotient and remainder of integer polynomials (low-to-high coefficients) by a monic den."""
+    num = list(num)
     dn = len(den) - 1
-    lead = den[dn]
-    monic = lead == 1
-    q = [Fraction(0)] * max(len(num) - dn, 1)
+    q = [0] * max(len(num) - dn, 1)
     for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn] if monic else num[i + dn] / lead
-        q[i] = c
+        c = q[i] = num[i + dn]
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
     return q, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
 
 
 def cyclo(d: int, k: int) -> CycloNum:
@@ -823,73 +789,90 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Q(zeta)
+# row reduction over a field: Q(zeta_d) here, GF(q) in gfield
 # ---------------------------------------------------------------------------
+#
+# The package's one row reduction.  A field supplies zero, one,
+# reciprocal(a), negate(a), scale(row, c) (c times the row) and
+# eliminate(row, f, pivot_row) (row - f * pivot_row), the last two as new
+# lists; an entry is zero exactly when it is falsy.  No input row (list or
+# tuple) is changed.
 
 
-def _rref(mat):
-    """Row reduce in place (list of lists of CycloNum); returns pivot cols."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
+def _rref(field, rows):
+    """(R, pivots): the nonzero rows of the reduced row echelon form of rows, and each one's pivot column."""
+    mat = list(rows)
+    n_rows = len(mat)
     pivots = []
     r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not mat[i][c].is_zero()), None)
-        if pivot is None:
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, n_rows) if mat[i][c]), None)
+        if pr is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        mat[r], mat[pr] = mat[pr], mat[r]
+        row = mat[r] = field.scale(mat[r], field.reciprocal(mat[r][c]))
+        for i in range(n_rows):
+            if i != r and mat[i][c]:
+                mat[i] = field.eliminate(mat[i], mat[i][c], row)
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n_rows:
             break
-    return pivots
+    return mat[:r], pivots
 
 
-def mat_rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    work = [row[:] for row in mat]
-    return len(_rref(work))
+def rank(field, rows) -> int:
+    """Rank of the matrix with these rows."""
+    return len(_rref(field, rows)[1])
 
 
-def mat_kernel(mat):
-    """Basis of the right kernel of a CycloNum matrix."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    work = [row[:] for row in mat]
-    pivots = _rref(work)
-    free = [c for c in range(cols) if c not in pivots]
+def kernel(field, rows, n: int) -> list:
+    """Basis of the null space {x in field^n : row . x = 0 for every row}.
+
+    Each free column c of the rows' RREF R gives the kernel vector e_c
+    minus R's column c placed at the pivots; no rows give the identity.
+    """
+    reduced, pivots = _rref(field, rows)
     basis = []
-    for fc in free:
-        vec = [CycloNum.zero() for _ in range(cols)]
-        vec[fc] = CycloNum.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
+    for c in range(n):
+        if c not in pivots:
+            vec = [field.zero] * n
+            vec[c] = field.one
+            for row, p in zip(reduced, pivots):
+                vec[p] = field.negate(row[c])
+            basis.append(vec)
     return basis
 
 
-def solve_in_span(vectors, target):
-    """Coefficients expressing target in the span of vectors, or None.
-
-    vectors: list of coordinate lists; all entries CycloNum.
-    """
-    if not vectors:
-        return [] if all(t.is_zero() for t in target) else None
-    n = len(target)
-    aug = [[vectors[j][i] for j in range(len(vectors))] + [target[i]] for i in range(n)]
-    pivots = _rref(aug)
+def solve(field, vectors, target):
+    """Coefficients expressing target in the span of vectors (coordinate lists), or None."""
     k = len(vectors)
+    aug = [[v[i] for v in vectors] + [t] for i, t in enumerate(target)]
+    reduced, pivots = _rref(field, aug)
     if k in pivots:
         return None
-    coeffs = [CycloNum.zero() for _ in range(k)]
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = aug[r][k]
+    coeffs = [field.zero] * k
+    for row, p in zip(reduced, pivots):
+        coeffs[p] = row[k]
     return coeffs
+
+
+class _CyclotomicField:
+    """Q(zeta_d) for every d at once: entries are CycloNums, mixed fields promote."""
+
+    zero = CycloNum.zero()
+    one = CycloNum.one()
+
+    reciprocal = staticmethod(CycloNum.inverse)
+    negate = staticmethod(CycloNum.__neg__)
+
+    @staticmethod
+    def scale(row, c):
+        return [x * c for x in row]
+
+    @staticmethod
+    def eliminate(row, f, pivot_row):
+        return [x - f * y for x, y in zip(row, pivot_row)]
+
+
+QZETA = _CyclotomicField()

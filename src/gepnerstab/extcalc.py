@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exactmath import CycloNum, mat_kernel, mat_rank, solve_in_span
+from .exactmath import QZETA, CycloNum, kernel, rank, solve
 from .mfcore import WeightedType
 from .polynomials import Poly
 
@@ -250,7 +250,7 @@ class HomComplex:
 
     def rank(self, i: int) -> int:
         if i not in self._ranks:
-            self._ranks[i] = mat_rank(self.differential(i))
+            self._ranks[i] = rank(QZETA, self.differential(i))
         return self._ranks[i]
 
     def cocycle_from_slots(self, i: int, values: dict[int, CycloNum]):
@@ -281,13 +281,10 @@ class HomComplex:
         completing the boundary image, and each input vector is expressed as
         boundary + sum(coeff * basis).
         """
-        d_i = self.differential(i)
         n = self.dim(i)
         if n == 0:
             return [], [[] for _ in vectors]
-        kernel = mat_kernel(d_i) if d_i else [
-            [CycloNum.one() if a == b else CycloNum.zero() for a in range(n)] for b in range(n)
-        ]
+        cycles = kernel(QZETA, self.differential(i), n)
         boundaries = []
         if i > 0 and self.dim(i - 1):
             d_prev = self.differential(i - 1)
@@ -295,14 +292,14 @@ class HomComplex:
                 boundaries.append([d_prev[r][c] for r in range(n)])
         # greedily extend boundaries to a basis of the kernel
         basis = []
-        span = [b[:] for b in boundaries]
-        for v in kernel:
-            if solve_in_span(span, v) is None:
+        spanning = [b[:] for b in boundaries]
+        for v in cycles:
+            if solve(QZETA, spanning, v) is None:
                 basis.append(v)
-                span.append(v)
+                spanning.append(v)
         rows = []
         for vec in vectors:
-            sol = solve_in_span(boundaries + basis, vec)
+            sol = solve(QZETA, boundaries + basis, vec)
             if sol is None:
                 raise ArithmeticError("vector is not a cocycle class")
             rows.append(sol[len(boundaries):])
@@ -507,7 +504,7 @@ def yoneda_cm_pattern(wtype: WeightedType, j: int, point) -> dict[str, CycloNum]
             raise ArithmeticError("composite is not a cocycle")
         _, rows = cx2.classes_modulo_boundaries(2, [vec, v_vec])
         lam, v_coeff = rows[0], rows[1]
-        coeffs = solve_in_span([v_coeff], lam)
+        coeffs = solve(QZETA, [v_coeff], lam)
         if coeffs is None:
             raise ArithmeticError("composite not proportional to the v-class")
         raw[f"x{k}"] = coeffs[0]

@@ -22,11 +22,12 @@ from fractions import Fraction
 
 from .classify import GeometryDescriptor, ambient_cy_type, geometry_of
 from .exactmath import (
+    QZETA,
     CycloNum,
     RationalPhase,
     cyclo,
     embed,
-    mat_kernel,
+    kernel,
     phase_of,
 )
 from .mfcore import WeightedType
@@ -153,7 +154,7 @@ def solve_alpha(mat, d: int, geometry: GeometryDescriptor) -> AlphaSolution:
         [CycloNum.from_rational(mat[j][i], 1).promote(d) - (z if i == j else CycloNum.zero(d)) for j in range(n)]
         for i in range(n)
     ]
-    ker = mat_kernel(mt)
+    ker = kernel(QZETA, mt, n)
     if not ker:
         raise NoEigenvalueError(f"zeta_{d} is not an eigenvalue of the action")
     if len(ker) != 1:

@@ -1,14 +1,18 @@
 """Small finite fields GF(p^k) with table-driven arithmetic.
 
 Elements are integer codes 0..q-1 (base-p digit vectors against a fixed
-irreducible modulus).  Everything the subrepresentation search needs lives
-here: row reduction, span/membership, canonical subspace keys, kernels,
-full subspace enumeration, superspace enumeration, and Gaussian binomial
-counts.  Full enumeration has no bound of its own: the search
-(``quiverrep.subrep_classes``) refuses, before it starts, a vertex whose
-space has more than ``quiverrep.MAX_SUBSPACES`` = 10^5 subspaces (F_5^5
-with 42,176 passes, F_25^4 with 440,080 does not).  Cyclotomic data
-reduces into GF(p^k) through a chosen multiplicative root of unity.
+irreducible modulus).  Row reduction lives in ``exactmath._rref``, the
+package's one copy, shared with Q(zeta_d); a ``GF`` is a field it runs
+over (zero, one, reciprocal, negate, and the row operations scale and
+eliminate, each through the tables).  Everything else the
+subrepresentation search needs lives here: span/membership, canonical
+subspace keys, kernels, full subspace enumeration, superspace
+enumeration, and Gaussian binomial counts.  Full enumeration has no bound
+of its own: the search (``quiverrep.subrep_classes``) refuses, before it
+starts, a vertex whose space has more than ``quiverrep.MAX_SUBSPACES`` =
+10^5 subspaces (F_5^5 with 42,176 passes, F_25^4 with 440,080 does not).
+Cyclotomic data reduces into GF(p^k) through a chosen multiplicative root
+of unity.
 
 A subspace is always its canonical RREF basis, as ``span`` returns it, so
 a dict key.  Every function that takes a subspace relies on this: pivots
@@ -26,7 +30,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, isqrt, prod
 
-from .exactmath import CycloNum
+from .exactmath import CycloNum, _rref
+from .exactmath import kernel as _kernel
 
 
 class BadReductionError(ArithmeticError):
@@ -81,7 +86,15 @@ def check_prime(p: int) -> None:
 
 
 class GF:
-    """The field with p^k elements; element codes are ints in range(q)."""
+    """The field with p^k elements; element codes are ints in range(q).
+
+    Also a field for ``exactmath``'s row reduction: zero and one are the
+    codes 0 and 1, reciprocal and negate read the inv and neg tables, and
+    each row operation looks up its table row once.
+    """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int, k: int = 1):
         check_prime(p)
@@ -113,6 +126,7 @@ class GF:
         self.inv = [0] * q
         for a in range(1, q):
             self.inv[a] = self._pow(a, q - 2)
+        self.reciprocal, self.negate = self.inv.__getitem__, self.neg.__getitem__
 
     def _pow(self, a: int, e: int) -> int:
         out = 1
@@ -123,6 +137,15 @@ class GF:
             base = self.mul[base][base]
             e >>= 1
         return out
+
+    def scale(self, row, c: int) -> list[int]:
+        times = self.mul[c]
+        return [times[x] for x in row]
+
+    def eliminate(self, row, f: int, pivot_row) -> list[int]:
+        """row - f * pivot_row."""
+        add, times = self.add, self.mul[self.neg[f]]
+        return [add[x][times[y]] for x, y in zip(row, pivot_row)]
 
     def label(self) -> str:
         if self.k == 1:
@@ -202,25 +225,7 @@ def _field(p: int, k: int) -> GF:
 
 def span(field: GF, vectors) -> tuple[tuple[int, ...], ...]:
     """Canonical (RREF) basis of the span; usable as a dict key."""
-    mat = [list(v) for v in vectors if any(v)]
-    if not mat:
-        return ()
-    r = 0
-    for c in range(len(mat[0])):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv[mat[r][c]]
-        mat[r] = [field.mul[inv][x] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = field.neg[mat[i][c]]
-                mat[i] = [field.add[x][field.mul[f][y]] for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(mat[i]) for i in range(r))
+    return tuple(map(tuple, _rref(field, [v for v in vectors if any(v)])[0]))
 
 
 def pivot_columns(basis) -> list[int]:
@@ -273,23 +278,8 @@ def extension_rank(field: GF, basis, vecs) -> int:
 
 
 def kernel(field: GF, rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """RREF basis of the null space {x in F^n : row . x = 0 for every row}.
-
-    Each free column c of the rows' RREF R gives the kernel vector e_c
-    minus R's column c placed at the pivots.
-    """
-    reduced = span(field, rows)
-    pivots = pivot_columns(reduced)
-    neg = field.neg
-    vecs = []
-    for c in range(n):
-        if c not in pivots:
-            v = [0] * n
-            v[c] = 1
-            for row, p in zip(reduced, pivots):
-                v[p] = neg[row[c]]
-            vecs.append(v)
-    return span(field, vecs)
+    """RREF basis of the null space {x in F^n : row . x = 0 for every row}."""
+    return span(field, _kernel(field, rows, n))
 
 
 @lru_cache(maxsize=None)

@@ -1,27 +1,32 @@
 import math
 import operator
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from gepnerstab.exactmath import (
+    QZETA,
     ComplexBox,
     CycloNum,
     ZeroValueError,
     _power_table,
     _real_on_ray,
+    _rref,
     _trig_enclosure,
     cyclo,
     cyclotomic_polynomial,
     embed,
     euler_phi,
-    mat_kernel,
-    mat_rank,
+    kernel,
     phase_of,
+    rank,
     sign_real,
-    solve_in_span,
+    solve,
 )
+from gepnerstab.gfield import GF
 
 
 def test_cyclotomic_polynomials():
@@ -96,6 +101,13 @@ def test_inverse_and_division():
                 continue
             assert x * x.inverse() == 1
     assert (cyclo(4, 1) / cyclo(4, 1)) == 1
+    # dense elements of large fields: the inverse stays on integer products
+    rng = random.Random(5)
+    for d in (47, 97):
+        x = CycloNum(d, [rng.randint(-3, 3) for _ in range(euler_phi(d))])
+        start = time.perf_counter()
+        assert x * x.inverse() == 1
+        assert time.perf_counter() - start < 2
 
 
 def test_conjugate_and_parts():
@@ -459,13 +471,106 @@ def test_linear_algebra():
     z = cyclo(4, 1)
     m = [[one, z], [z, -one]]  # det = -1 - i^2... = -1 - (-1) = 0? no: -1 - i*i = 0
     # actually det = 1*(-1) - z*z = -1 + 1 = 0, so rank 1
-    assert mat_rank(m) == 1
-    ker = mat_kernel(m)
+    assert rank(QZETA, m) == 1
+    ker = kernel(QZETA, m, 2)
     assert len(ker) == 1
     # m . k = 0
     for row in m:
         acc = sum((row[i] * ker[0][i] for i in range(2)), CycloNum.zero())
         assert acc.is_zero()
-    coeffs = solve_in_span([[one, z]], [z * 2, 2 * z * z])
+    coeffs = solve(QZETA, [[one, z]], [z * 2, 2 * z * z])
     assert coeffs is not None and coeffs[0] == 2 * z
-    assert solve_in_span([[one, CycloNum.zero()]], [CycloNum.zero(), one]) is None
+    assert solve(QZETA, [[one, CycloNum.zero()]], [CycloNum.zero(), one]) is None
+
+
+def test_truthiness_is_nonzero():
+    for d in (1, 2, 3, 12, 97):
+        assert not CycloNum.zero(d)
+        assert CycloNum.one(d)
+        assert cyclo(d, 1)
+        assert not (cyclo(d, 1) - cyclo(d, 1))
+        assert CycloNum.from_rational(Fraction(-1, 3), d)
+    assert not (cyclo(3, 1) - cyclo(6, 2))  # zeta_6^2 = zeta_3, a difference in Q(zeta_6)
+    assert not (cyclo(4, 1) * cyclo(3, 1) - cyclo(12, 7))
+    assert cyclo(3, 1) - cyclo(6, 1)
+
+
+class _Ops:
+    """Entry arithmetic for checking the row reduction: table lookups in GF, CycloNum operators over Q(zeta)."""
+
+    def __init__(self, field):
+        self.field = field
+        if isinstance(field, GF):
+            self.add = lambda a, b: field.add[a][b]
+            self.mul = lambda a, b: field.mul[a][b]
+        else:
+            self.add = operator.add
+            self.mul = operator.mul
+
+    def combine(self, coeffs, vectors, n):
+        out = [self.field.zero] * n
+        for c, v in zip(coeffs, vectors):
+            out = [self.add(x, self.mul(c, y)) for x, y in zip(out, v)]
+        return out
+
+    def dot(self, u, v):
+        return self.combine(u, [[y] for y in v], 1)[0]
+
+
+def _random_matrix(rng, draw, ops):
+    """A seeded matrix, some with a zero row, a zero column or a dependent last row."""
+    zero = ops.field.zero
+    m, n = rng.randint(0, 4), rng.randint(1, 5)
+    mat = [[draw() if rng.random() < 0.7 else zero for _ in range(n)] for _ in range(m)]
+    shape = rng.choice(("plain", "zero row", "zero column", "dependent"))
+    if mat and shape == "zero row":
+        mat[rng.randrange(m)] = [zero] * n
+    elif shape == "zero column":
+        c = rng.randrange(n)
+        for row in mat:
+            row[c] = zero
+    elif m >= 2 and shape == "dependent":
+        mat[-1] = ops.combine([draw() for _ in range(m - 1)], mat[:-1], n)
+    return mat
+
+
+@pytest.mark.parametrize("name", ["F_5", "F_25", "Q(zeta_12)"])
+def test_shared_row_reduction(name):
+    rng = random.Random(name)
+    if name == "Q(zeta_12)":
+        field = QZETA
+        draw = lambda: _random_elt(rng, 12) if rng.random() < 0.6 else CycloNum.from_rational(rng.randint(-3, 3))
+    else:
+        field = GF(5, 1 if name == "F_5" else 2)
+        draw = lambda: rng.randrange(field.q)
+    ops, zero, one = _Ops(field), field.zero, field.one
+    for _ in range(60):
+        mat = _random_matrix(rng, draw, ops)
+        n = len(mat[0]) if mat else rng.randint(1, 5)
+        reduced, pivots = _rref(field, mat)
+        r = len(pivots)
+        # reduced row echelon form: leading 1s, strictly increasing pivots, pivot columns clear
+        assert len(reduced) == r and r == rank(field, mat)
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for i, (row, p) in enumerate(zip(reduced, pivots)):
+            assert all(x == zero for x in row[:p]) and row[p] == one
+            assert all(other[p] == zero for k, other in enumerate(reduced) if k != i)
+        # the rows span the same space
+        for row in mat:
+            assert solve(field, reduced, row) is not None
+        # every kernel vector annihilates every row; rank + nullity = n
+        ker = kernel(field, mat, n)
+        assert r + len(ker) == n
+        for vec in ker:
+            assert all(ops.dot(row, vec) == zero for row in mat)
+        # solve reproduces the target, and refuses exactly when the target raises the rank
+        for target in (ops.combine([draw() for _ in mat], mat, n), [draw() for _ in range(n)]):
+            coeffs = solve(field, mat, target)
+            raises = rank(field, mat + [target]) > r
+            assert (coeffs is None) == raises
+            if coeffs is not None:
+                assert ops.combine(coeffs, mat, n) == target
+        # over F_5, an oracle that shares no code with the reduction: q^rank combinations
+        if name == "F_5":
+            combos = {tuple(ops.combine(cs, mat, n)) for cs in product(range(5), repeat=len(mat))}
+            assert len(combos) == 5**r

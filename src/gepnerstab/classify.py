@@ -188,22 +188,16 @@ def enumerate_types(n_range, d_max: int) -> list[tuple[WeightedType, GeometryDes
     Ordered as the reference table: by n - eps descending (4 before 3),
     then by n descending, then by degree.
     """
+    # admissible needs zeta_d to be a root of lambda^2 + (m - 2) lambda + 1
+    # with m rational, so 2 cos(2 pi / d) is rational: by Niven's theorem
+    # d is 1, 2, 3, 4 or 6, and only the n of the five cases can occur
     found = []
-    for n in n_range:
-        for d in range(2, d_max + 1):
+    for n in sorted({n for n, _ in FIVE_CASES if n in n_range}):
+        for d in range(2, min(d_max, 6) + 1):
             for ws in _weight_tuples(n, d):
                 cand = WeightedType(ws, d)
-                if gcd(*ws) != 1 and n > 1:
-                    continue
-                if n == 1 and ws[0] != 1:
-                    continue
-                if (cand.n, cand.epsilon) not in FIVE_CASES:
-                    continue
-                if not cand.is_fermat or cand.fermat_exponents is None:
-                    continue
-                if not admissible(cand):
-                    continue
-                found.append((cand, geometry_of(cand)))
+                if gcd(*ws) == 1 and admissible(cand):
+                    found.append((cand, geometry_of(cand)))
     found.sort(key=lambda tg: (-(tg[0].n - tg[0].epsilon), -tg[0].n, tg[0].degree))
     return found
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exactmath import QZETA, CycloNum, kernel, rank, solve
+from .exactmath import QZETA, CycloNum, rank, solve
 from .mfcore import WeightedType
 from .polynomials import Poly
 
@@ -274,36 +274,12 @@ class HomComplex:
                 return False
         return True
 
-    def classes_modulo_boundaries(self, i: int, vectors):
-        """Coefficients of the given cocycles against a cohomology basis.
-
-        Returns (basis, coeff rows) where basis is a list of kernel vectors
-        completing the boundary image, and each input vector is expressed as
-        boundary + sum(coeff * basis).
-        """
-        n = self.dim(i)
-        if n == 0:
-            return [], [[] for _ in vectors]
-        cycles = kernel(QZETA, self.differential(i), n)
-        boundaries = []
-        if i > 0 and self.dim(i - 1):
-            d_prev = self.differential(i - 1)
-            for c in range(self.dim(i - 1)):
-                boundaries.append([d_prev[r][c] for r in range(n)])
-        # greedily extend boundaries to a basis of the kernel
-        basis = []
-        spanning = [b[:] for b in boundaries]
-        for v in cycles:
-            if solve(QZETA, spanning, v) is None:
-                basis.append(v)
-                spanning.append(v)
-        rows = []
-        for vec in vectors:
-            sol = solve(QZETA, boundaries + basis, vec)
-            if sol is None:
-                raise ArithmeticError("vector is not a cocycle class")
-            rows.append(sol[len(boundaries):])
-        return basis, rows
+    def boundaries(self, i: int) -> list[list[CycloNum]]:
+        """The columns of differential(i - 1); they span the coboundaries of stage i."""
+        if i == 0:
+            return []
+        d_prev = self.differential(i - 1)
+        return [[row[c] for row in d_prev] for c in range(self.dim(i - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +356,13 @@ def ext_cm(wtype: WeightedType, j: int, point, i: int):
     cx = _point_complex(wtype, j, point)
     dim = cx.cohomology_dim(i)
     witness = None
-    if dim == 1 and i == 1 and 0 <= j < a2:
-        vec = cx.cocycle_from_slots(1, u_witness(wtype, j, point))
-        if not cx.is_cocycle(1, vec):
-            raise ArithmeticError("u witness is not a cocycle")
-        _, rows = cx.classes_modulo_boundaries(1, [vec])
-        if all(c.is_zero() for c in rows[0]):
-            raise ArithmeticError("u witness is a boundary")
-        witness = vec
-    if dim == 1 and i == 2 and a1 <= j < a1 + a2:
-        vec = cx.cocycle_from_slots(2, v_witness(wtype, j, point))
-        if not cx.is_cocycle(2, vec):
-            raise ArithmeticError("v witness is not a cocycle")
-        _, rows = cx.classes_modulo_boundaries(2, [vec])
-        if all(c.is_zero() for c in rows[0]):
-            raise ArithmeticError("v witness is a boundary")
+    if dim == 1 and (i == 1 and 0 <= j < a2 or i == 2 and a1 <= j < a1 + a2):
+        name, slots = ("u", u_witness(wtype, j, point)) if i == 1 else ("v", v_witness(wtype, j, point))
+        vec = cx.cocycle_from_slots(i, slots)
+        if not cx.is_cocycle(i, vec):
+            raise ArithmeticError(f"{name} witness is not a cocycle")
+        if solve(QZETA, cx.boundaries(i), vec) is not None:
+            raise ArithmeticError(f"{name} witness is a boundary")
         witness = vec
     return dim, witness
 
@@ -502,12 +470,11 @@ def yoneda_cm_pattern(wtype: WeightedType, j: int, point) -> dict[str, CycloNum]
         vec = cx2.cocycle_from_slots(2, comp_vals)
         if not cx2.is_cocycle(2, vec):
             raise ArithmeticError("composite is not a cocycle")
-        _, rows = cx2.classes_modulo_boundaries(2, [vec, v_vec])
-        lam, v_coeff = rows[0], rows[1]
-        coeffs = solve(QZETA, [v_coeff], lam)
+        # the c with vec - c * v a coboundary
+        coeffs = solve(QZETA, cx2.boundaries(2) + [v_vec], vec)
         if coeffs is None:
             raise ArithmeticError("composite not proportional to the v-class")
-        raw[f"x{k}"] = coeffs[0]
+        raw[f"x{k}"] = coeffs[-1]
     p1, p2 = point
     # basis-independent content: ratio of the two coefficients
     if not (raw["x1"] * p1 + raw["x2"] * p2).is_zero():

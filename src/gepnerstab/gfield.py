@@ -1,18 +1,21 @@
 """Small finite fields GF(p^k) with table-driven arithmetic.
 
 Elements are integer codes 0..q-1 (base-p digit vectors against a fixed
-irreducible modulus).  Row reduction lives in ``exactmath._rref``, the
-package's one copy, shared with Q(zeta_d); a ``GF`` is a field it runs
-over (zero, one, reciprocal, negate, and the row operations scale and
-eliminate, each through the tables).  Everything else the
-subrepresentation search needs lives here: span/membership, canonical
-subspace keys, kernels, full subspace enumeration, superspace
-enumeration, and Gaussian binomial counts.  Full enumeration has no bound
-of its own: the search (``quiverrep.subrep_classes``) refuses, before it
-starts, a vertex whose space has more than ``quiverrep.MAX_SUBSPACES`` =
-10^5 subspaces (F_5^5 with 42,176 passes, F_25^4 with 440,080 does not).
-Cyclotomic data reduces into GF(p^k) through a chosen multiplicative root
-of unity.
+irreducible modulus).  The multiplication, inverse and root tables come
+from the powers of one generator: q - 1 polynomial products for it, fewer
+for each smaller code that is no generator, then table lookups.  Row
+reduction lives in ``exactmath._rref``, the package's one copy, shared
+with Q(zeta_d); a ``GF`` is a field it runs over (zero, one, reciprocal,
+negate, and the row operations scale and eliminate, each through the
+tables).  Everything else the subrepresentation search needs lives
+here: span/membership, canonical subspace keys, kernels, full subspace
+enumeration, superspace enumeration, and Gaussian binomial counts.  Full
+enumeration has no bound of its own: the search
+(``quiverrep.subrep_classes``) refuses, before it starts, a vertex whose
+space has more than ``quiverrep.MAX_SUBSPACES`` = 10^5 subspaces (F_5^5
+with 42,176 passes, F_25^4 with 440,080 does not).  Cyclotomic data
+reduces into GF(p^k) through the root of unity that is a power of the
+generator.
 
 A subspace is always its canonical RREF basis, as ``span`` returns it, so
 a dict key.  Every function that takes a subspace relies on this: pivots
@@ -88,6 +91,11 @@ def check_prime(p: int) -> None:
 class GF:
     """The field with p^k elements; element codes are ints in range(q).
 
+    Addition and negation act digit-wise on the codes.  Every product comes
+    from the powers of one generator g, the least code of order q - 1:
+    ``exp[i]`` is g^i, so mul, inv and each root of unity are index
+    arithmetic modulo q - 1 on the logarithms.
+
     Also a field for ``exactmath``'s row reduction: zero and one are the
     codes 0 and 1, reciprocal and negate read the inv and neg tables, and
     each row operation looks up its table row once.
@@ -104,39 +112,33 @@ class GF:
         self.modulus = _find_irreducible(p, k)
         q = self.q
 
-        def decode(n):
-            digits = []
-            for _ in range(k):
-                digits.append(n % p)
-                n //= p
-            return digits
+        digits = [[a // p**i % p for i in range(k)] for a in range(q)]  # low first
 
-        def encode(digits):
+        def encode(ds):
             n = 0
-            for d in reversed(digits):
+            for d in reversed(ds):
                 n = n * p + (d % p)
             return n
 
-        self.add = [[encode([(x + y) % p for x, y in zip(decode(a), decode(b))]) for b in range(q)] for a in range(q)]
-        self.neg = [encode([(-x) % p for x in decode(a)]) for a in range(q)]
-        self.mul = [
-            [encode(_poly_mul_mod(decode(a), decode(b), self.modulus, p)) for b in range(q)]
-            for a in range(q)
-        ]
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = self._pow(a, q - 2)
+        self.add = [[encode([x + y for x, y in zip(da, db)]) for db in digits] for da in digits]
+        self.neg = [encode([-x for x in da]) for da in digits]
+        # exp[i] = g^i for the least code g of order q - 1: each candidate's
+        # powers are walked until they return to 1
+        for g in range(1, q):
+            exp, x = [1], digits[g]
+            while x != digits[1]:
+                exp.append(encode(x))
+                x = _poly_mul_mod(x, digits[g], self.modulus, p)
+            if len(exp) == q - 1:
+                break
+        self.exp = exp
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        twice = exp + exp
+        self.mul = [[0] * q] + [[0] + [twice[la + lb] for lb in log[1:]] for la in log[1:]]
+        self.inv = [0] + [exp[-la] for la in log[1:]]
         self.reciprocal, self.negate = self.inv.__getitem__, self.neg.__getitem__
-
-    def _pow(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul[out][base]
-            base = self.mul[base][base]
-            e >>= 1
-        return out
 
     def scale(self, row, c: int) -> list[int]:
         times = self.mul[c]
@@ -154,26 +156,11 @@ class GF:
 
     # -- roots of unity and reduction ------------------------------------------
 
-    @lru_cache(maxsize=None)
     def root_of_unity(self, n: int) -> int:
-        """An element of multiplicative order n (requires n | q - 1)."""
-        if n == 1:
-            return 1
+        """g^((q-1)/n), an element of multiplicative order n (requires n | q - 1)."""
         if (self.q - 1) % n:
             raise BadReductionError(f"no order-{n} root in GF({self.q})")
-        for g in range(2, self.q):
-            if self._order(g) == self.q - 1:
-                return self._pow(g, (self.q - 1) // n)
-        raise ArithmeticError("no generator found")
-
-    def _order(self, a: int) -> int:
-        if a == 0:
-            return 0
-        x, n = a, 1
-        while x != 1:
-            x = self.mul[x][a]
-            n += 1
-        return n
+        return self.exp[(self.q - 1) // n % (self.q - 1)]
 
     def reduce_cyclo(self, x: CycloNum, conductor: int) -> int:
         """Reduce a cyclotomic number via zeta_conductor -> fixed root."""

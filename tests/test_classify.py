@@ -3,6 +3,8 @@ import pytest
 from gepnerstab.classify import (
     ADE_NORMAL_FORMS,
     NotFermatError,
+    _weight_tuples,
+    admissible,
     ambient_cy_type,
     enumerate_types,
     geometry_of,
@@ -86,6 +88,15 @@ def test_classification_stable_beyond_degree_six():
     rows6 = enumerate_types((2, 3, 4), 6)
     rows12 = enumerate_types((2, 3, 4), 12)
     assert rows6 == rows12
+    # enumerate_types stops at d = 6 by Niven's theorem; the constraint
+    # itself is checked here on every candidate it no longer visits
+    for n in (2, 3, 4):
+        for d in range(7, 13):
+            assert not any(admissible(WeightedType(ws, d)) for ws in _weight_tuples(n, d))
+
+
+def test_enumeration_is_bounded_in_n_and_d():
+    assert enumerate_types(range(1, 13), 60) == enumerate_types((2, 3, 4), 6)
 
 
 def test_enumerated_types_are_valid():

@@ -56,6 +56,21 @@ def test_classify_range():
     assert len(data["results"]) == 5
 
 
+def test_classify_ends_in_bounded_time():
+    # n and d beyond the five cases and d = 6 hold no admissible type; the
+    # enumeration used to walk every one of them
+    proc = subprocess.run(
+        [sys.executable, "-m", "gepnerstab.cli", "--json", "classify", "--n", "1..1000000", "--dmax", "1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=dict(os.environ, PYTHONPATH=CHILD_PATH),
+    )
+    assert proc.returncode == 0, proc.stderr
+    reference = json.loads(run_cli("--json", "classify", "--n", "2..4", "--dmax", "6").stdout)
+    assert json.loads(proc.stdout)["results"] == reference["results"]
+
+
 def test_gepner_check_message():
     proc = run_cli("gepner-check", "--type", "1,1:4")
     assert "Z o tau = zeta * Z: OK (6 basis vectors)" in proc.stdout
@@ -156,6 +171,25 @@ def test_main_callable_directly(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "K3 surface" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the first exited 2 without a message; the others printed Python's parse errors
+        (("zg", "--type", "1,1:4", "--class", "a"), "--class takes integer coordinates, got 'a'"),
+        (("classify", "--n", "2"), "--n takes a range lo..hi of integers, got '2'"),
+        (("classify", "--n", "a..b"), "--n takes a range lo..hi of integers, got 'a..b'"),
+        (("stability", "--type", "1,1:4", "--object", "PsiOx(x)"), "--object takes a name with an optional integer point, as PsiOx(2), got 'PsiOx(x)'"),
+        (("charge", "--type", "1,1,1:3", "--class", "1,x"), "--class takes rational coordinates r,c[,s], got '1,x'"),
+        # a zero denominator was reported as a verification failure, rc 1
+        (("charge", "--type", "1,1,1:3", "--class", "1/0,1"), "--class takes rational coordinates r,c[,s], got '1/0,1'"),
+    ],
+)
+def test_parse_errors_name_the_flag_and_value(argv, message):
+    proc = run_cli(*argv)
+    assert_usage_error(proc)
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("primes", ["49", "4", "9", "0", "1", "-5", "5,x", "131"])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gepnerstab.exactmath import CycloNum
+from gepnerstab.exactmath import QZETA, CycloNum, rank
 from gepnerstab.extcalc import (
     HomComplex,
     NoValidSplitError,
@@ -153,6 +153,20 @@ def test_ext_cm_full_ranges(t):
                 assert dim == ext_cm_closed_form(t, j, i), (t, j, i)
                 if dim == 1 and i in (1, 2):
                     assert witness is not None
+
+
+@pytest.mark.parametrize("t", N2_TYPES, ids=str)
+def test_boundaries_are_the_coboundary_image(t):
+    # one cocycle per column of the previous differential, spanning its image
+    a1, a2 = t.weights
+    for point in points_of(t):
+        for j in range(0, t.degree - a1 - a2):
+            cx = HomComplex(resolution_for(t), j, PointModule(t, point))
+            for i in (1, 2):
+                cols = cx.boundaries(i)
+                assert len(cols) == cx.dim(i - 1)
+                assert all(len(b) == cx.dim(i) and cx.is_cocycle(i, b) for b in cols)
+                assert rank(QZETA, cols) == cx.rank(i - 1)
 
 
 def test_ext_cm_witnesses_114():

@@ -436,8 +436,18 @@ def cmd_hn(args) -> int:
     return _emit(args, Report("hn", {"type": type_str, "rep": args.rep}, results), lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose parse errors are one stderr line, with exit code 2.
+
+    Its subcommand parsers are of the same class.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gepnerstab",
         description="Exact central charges, heart lattices and stability checks "
         "for graded matrix factorizations of weighted Fermat polynomials.",
@@ -488,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Numbers whose cost grows without bound, each with its accepted range:
-# GF(q) builds q x q tables (GF(361) takes about 0.22 s, GF(961) about
-# 1.3 s, on a 2-CPU host with Python 3.11), and the trigonometric
+# GF(q) builds q x q tables (GF(361) takes about 0.02 s, GF(961) about
+# 0.13 s, on a 2-CPU host with Python 3.11), and the trigonometric
 # enclosures behind --precision cost at least quadratically in their
 # bits, while fewer than 53 bits print wrong digits.
 RANGES = (("max_q", "--max-q", 2, 361), ("precision", "--precision", 53, 4096))

@@ -7,9 +7,13 @@ for each smaller code that is no generator, then table lookups.  Row
 reduction lives in ``exactmath._rref``, the package's one copy, shared
 with Q(zeta_d); a ``GF`` is a field it runs over (zero, one, reciprocal,
 negate, and the row operations scale and eliminate, each through the
-tables).  Everything else the subrepresentation search needs lives
-here: span/membership, canonical subspace keys, kernels, full subspace
-enumeration, superspace enumeration, and Gaussian binomial counts.  Full
+tables).  Each row of the digit-wise addition table is assembled from a
+row of the one-digit table and a row of the table with one digit fewer.
+Everything else the subrepresentation search needs lives here:
+span/membership, canonical subspace keys, kernels, the list of all
+subspaces of F^n (``subspaces_of``) with the position of each in it
+(``subspace_index``), and Gaussian binomial counts; ``superspaces`` lists
+the subspaces above a bound, for the tests' exhaustive oracle.  Full
 enumeration has no bound of its own: the search
 (``quiverrep.subrep_classes``) refuses, before it starts, a vertex whose
 space has more than ``quiverrep.MAX_SUBSPACES`` = 10^5 subspaces (F_5^5
@@ -21,10 +25,12 @@ A subspace is always its canonical RREF basis, as ``span`` returns it, so
 a dict key.  Every function that takes a subspace relies on this: pivots
 are read straight off the rows (``pivot_columns``), and membership,
 quotient projection and ``extension_rank`` share one reduce loop against
-those pivots.  The first rows of such a basis are again one, so the search
-builds the images of earlier inner vertices along RREF prefixes.  At the
-last inner vertex it reads each sink rank from a ``kernel`` instead of an
-image, and builds an RREF only for bounds, kernels and witnesses.
+those pivots.  The search counts the subspaces above a bound per
+dimension: Gaussian binomials minus a few exceptions, each placed in
+``subspaces_of``'s order by ``subspace_index``.  It walks a dimension
+only where no count applies, building images there along RREF prefixes
+(the first rows of such a basis are again one), and builds an RREF only
+for bounds, kernels and witnesses.
 """
 
 from __future__ import annotations
@@ -120,7 +126,12 @@ class GF:
                 n = n * p + (d % p)
             return n
 
-        self.add = [[encode([x + y for x, y in zip(da, db)]) for db in digits] for da in digits]
+        # digit-wise sums, one digit more per pass: a = a0 + p a' and b = b0 + p b'
+        # give a + b = (a0 + b0 mod p) + p (a' + b'), b0 varying fastest
+        one_digit = add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for _ in range(k - 1):
+            add = [[lo + p * hi for hi in add[a // p] for lo in one_digit[a % p]] for a in range(p * len(add))]
+        self.add = add
         self.neg = [encode([-x for x in da]) for da in digits]
         # exp[i] = g^i for the least code g of order q - 1: each candidate's
         # powers are walked until they return to 1
@@ -292,6 +303,12 @@ def subspaces_of(field: GF, n: int):
                     rows[i][c] = v
                 out.append(tuple(tuple(row) for row in rows))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def subspace_index(field: GF, n: int) -> dict:
+    """Each subspace of F_q^n -> its position in subspaces_of (cached per field)."""
+    return {u: i for i, u in enumerate(subspaces_of(field, n))}
 
 
 def superspaces(field: GF, lower, ambient_dim: int):

@@ -43,8 +43,8 @@ from .gfield import (
     project_to_quotient,
     quotient_data,
     span,
+    subspace_index,
     subspaces_of,
-    superspaces,
 )
 from .hearts import CaseLattice, lattice_for, phase_key, points_of, slope_mu
 from .mfcore import WeightedType
@@ -475,6 +475,33 @@ def _check_guard(rep: QuiverRep, max_q: int):
             )
 
 
+def _place(row, cols, n: int) -> list[int]:
+    """The vector of F^n with row's entries at cols and 0 elsewhere."""
+    v = [0] * n
+    for x, c in zip(row, cols):
+        v[c] = x
+    return v
+
+
+def _lift(field: GF, lower, ubar, n: int):
+    """The RREF of lower + lift(Ubar) in F^n: Ubar's rows are placed at lower's free columns."""
+    free = quotient_data(lower, n)
+    return span(field, list(lower) + [_place(row, free, n) for row in ubar])
+
+
+def _induced(field: GF, mat, free, bound):
+    """The map V/L -> W/B that mat induces, as rows on L's free columns.
+
+    B is an RREF subspace of W containing mat L; the columns are reduced
+    against it.
+    """
+    induced = [[row[c] for c in free] for row in mat]
+    if bound:
+        free_b = quotient_data(bound, len(mat))
+        induced = list(zip(*(project_to_quotient(field, bound, free_b, col) for col in zip(*induced))))
+    return induced
+
+
 def _lines(field: GF, basis):
     """Each line in the span of an RREF basis, as its one-row RREF.
 
@@ -491,6 +518,19 @@ def _lines(field: GF, basis):
                 if c:
                     v = tuple(add[x][mul[c][y]] for x, y in zip(v, other))
             yield v
+
+
+def _subspaces_within(field: GF, basis):
+    """Each subspace of the span of an RREF basis, as its RREF.
+
+    It is s . basis for a subspace s of F^k, k = len(basis), in its RREF:
+    row i of the product has a 1 at the basis pivot where row i of s has
+    its pivot, nothing before it, and zeros at every other basis pivot,
+    because s has zeros at its other pivots.
+    """
+    cols = list(zip(*basis))
+    for s in subspaces_of(field, len(basis)):
+        yield tuple(mat_apply(field, cols, row) for row in s)
 
 
 def _hyperplanes_over(field: GF, sub, n: int):
@@ -515,29 +555,91 @@ def _hyperplanes_over(field: GF, sub, n: int):
         yield tuple(rows)
 
 
+def _tally(field: GF, n: int, exceptions: dict, generic, walk) -> dict:
+    """key -> [count, first subspace] over the subspaces of F^n.
+
+    The keys come in the order of their first subspaces in subspaces_of, so
+    as a walk through it would meet them.  exceptions maps some subspaces to
+    their keys.  Every other subspace of dimension d has the key generic[d]:
+    they number gaussian_binomial(n, d, q) minus the exceptions of that
+    dimension, and the first of them is the first non-exception of the
+    d-block of subspaces_of.  A dimension d with generic[d] None has no
+    closed form and no exception: walk(u) keys each of its subspaces.
+    """
+    subs = subspaces_of(field, n)
+    count: dict = {}
+    first: dict = {}  # key -> position of its first subspace
+    excluded = [0] * (n + 1)
+    if exceptions:
+        at = subspace_index(field, n)
+        for u, key in exceptions.items():
+            pos = at[u]
+            count[key] = count.get(key, 0) + 1
+            if first.get(key, pos) >= pos:
+                first[key] = pos
+            excluded[len(u)] += 1
+    start = 0
+    for d, key in enumerate(generic):
+        end = start + gaussian_binomial(n, d, field.q)
+        if key is None:
+            for pos in range(start, end):
+                walked = walk(subs[pos])
+                count[walked] = count.get(walked, 0) + 1
+                if first.get(walked, pos) >= pos:
+                    first[walked] = pos
+        elif end - start > excluded[d]:
+            pos = start
+            while subs[pos] in exceptions:
+                pos += 1
+            count[key] = count.get(key, 0) + end - start - excluded[d]
+            if first.get(key, pos) >= pos:
+                first[key] = pos
+        start = end
+    # only the exceptions enter out of order
+    return {key: [count[key], subs[first[key]]] for key in (sorted(first, key=first.get) if exceptions else first)}
+
+
 def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     """All subrepresentation dimension vectors with counts and witnesses.
 
-    Vertices with outgoing arrows are enumerated subspace by subspace
-    (each choice bounded below by the images of earlier choices).  Once
-    they are chosen the sinks are independent: a sink s of dimension n
-    with lower bound of dimension lo admits gaussian_binomial(n - lo,
-    m - lo, q) subspaces of each dimension m >= lo.  So each inner choice
-    reduces to a signature (inner dimensions, sink bound dimensions);
-    choices are counted per signature, and each signature's sink product
-    is expanded once, after the search.  The result keeps the order in
-    which a per-choice expansion would first meet each dimension vector.
-    Witnesses are lazy (see SubrepClass).
+    A subrepresentation is a subspace at each inner vertex (those with
+    arrows out), each containing the images of the earlier ones, and at
+    each sink a subspace containing the images into it.  The plan
+    (SubrepPlan, cached per quiver) makes every vertex fed from one source
+    and every sink fed by one arrow M_j from the last inner vertex.  Once
+    the inner vertices are chosen the sinks are independent: a sink of
+    dimension n with lower bound of dimension lo admits gaussian_binomial(n
+    - lo, m - lo, q) subspaces of each dimension m >= lo.  So each inner
+    choice reduces to a signature (inner dimensions, sink bound
+    dimensions); choices are counted per signature, and each signature's
+    sink product is expanded once, after the search.  The result keeps the
+    order in which a walk choice by choice, the last sink varying fastest,
+    would first meet each dimension vector.  Witnesses are lazy (see
+    SubrepClass).
 
-    The plan (SubrepPlan, cached per quiver) makes every vertex fed from
-    one source and every sink fed by one arrow M_j from the last inner
-    vertex.  Earlier inner vertices are walked choice by choice; their
-    images are built along RREF prefixes (the first rows of a canonical
-    RREF basis are again one), each prefix image kept in a per-call table
-    and reused by its children.  At the last inner vertex, of dimension n,
-    a choice of the earlier ones fixes the lower bound L, and the choices
-    are the U = L + lift(Ubar) for the subspaces Ubar of V/L, of dimension
-    n' = n - dim L.  The sink bound of U at j is M_j U, and
+    The search counts subspace choices per dimension instead of walking
+    them.  At an inner vertex of dimension n with lower bound L the choices
+    are the u = L + lift(Ubar) for the subspaces Ubar of V/L, of dimension
+    n' = n - dim L, in the order of subspaces_of.  All that the later
+    vertices see of u is a key: its dimension and the bounds it puts on
+    them.  _tally counts the Ubar per key, each key with its first Ubar,
+    and the search goes on once per key, from that first Ubar and with the
+    count as a multiplicity.  That is exact, and it keeps both the order in
+    which keys are first met and the first witness.  Where n' <= 1 each
+    dimension has one subspace, and the search takes it directly.
+
+    At an earlier inner vertex the bounds of u are Phi(u), its images at
+    the inner vertices that it feeds, and Phi(u) lies between Phi(L) and
+    Phi(V).  When Phi(V) is at most one dimension larger than Phi(L),
+    Phi(u) = Phi(L) exactly when Ubar lies in K, the kernel of the maps
+    V/L -> W/Phi(L) that the arrows induce, and Phi(u) = Phi(V) otherwise.
+    The subspaces of K are then the exceptions, and every other Ubar of a
+    dimension shares one key.  Otherwise each Ubar is walked, its images
+    built along RREF prefixes (the first rows of a canonical RREF basis are
+    again one), each prefix image kept and reused by its children.
+
+    At the last inner vertex the key of U is (dim Ubar, its sink bound
+    ranks).  The sink bound of U at j is M_j U, and
 
         rank M_j U = dim B_j + dim Ubar - dim(Ubar meet K_j),
 
@@ -550,17 +652,13 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     for d = 0 the meet is 0 and for d = n' it is K_j, a line meets K_j in
     0 or 1 dimensions, and a hyperplane H meets it in k - 1 or, when K_j
     lies in H, k, since dim(H + K_j) <= n'.  With k = 0 or n' there is no
-    exception.  So per distinct L the sink ranks of every Ubar are a dict
-    of those exceptions (at most q + 1 per sink when n' <= 3) over one
-    tuple per dimension; only for 2 <= d <= n' - 2, which needs n' >= 4,
-    is the meet read off extension_rank against K_j.  The leaves under L
-    are tallied once per call into a histogram
-    (dim Ubar, sink ranks) -> [leaves, first Ubar] in enumeration order.
-    The earlier choices are counted per (their dimensions, L), and each
-    such pair replays its histogram, in the order of its first choice:
-    so every signature is first met where a walk choice by choice would
-    meet it.  U is built only for a signature's first leaf, whose choice
-    becomes the witness.
+    exception.  So per distinct L the sink ranks are those exceptions over
+    one tuple per dimension; only the dimensions 2 <= d <= n' - 2, which
+    need n' >= 4, are walked, the meet read off extension_rank against
+    K_j.  The earlier choices are counted per (their dimensions, L), and
+    each such pair replays L's tally, in the order of its first choice.  U
+    is built only for a signature's first leaf, whose choice becomes the
+    witness.
     """
     _check_guard(rep, max_q)
     order, sinks, into = rep.quiver.subrep_plan
@@ -569,22 +667,44 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     # the maps into each vertex of positive dimension; the others keep bound ()
     maps = {v: [rep.mats[label] for label in labels] for v, (_, labels) in into.items() if dims.get(v, 0)}
     fed = [(i, maps[s][0]) for i, s in enumerate(sinks) if s in maps]
-    images: dict = {v: {(): ()} for v in order if v in maps}  # target -> source subspace -> RREF image
-
-    def image(v, u):
-        img = images[v].get(u)
-        if img is None:
-            img = image(v, u[:-1])
-            if len(img) < dims[v]:  # a full prefix image is the image
-                img = span(f, img + tuple(mat_apply(f, m, u[-1]) for m in maps[v]))
-            images[v][u] = img
-        return img
-
-    def bound(v, chosen):
-        return image(v, chosen[into[v][0]]) if v in images else ()
-
+    # per earlier inner vertex: the inner vertices of positive dimension it feeds
+    feeds = {v: [w for w in order if w in maps and into[w][0] == v] for v in order[:-1]}
     last = order[-1] if order else None
     n_last = dims.get(last, 0)
+
+    def choices(v, lower):
+        """(dim u, bounds of u at feeds[v]) -> [choices, first Ubar] over the u above lower."""
+        n = dims.get(v, 0)
+        free = quotient_data(lower, n)
+        n1, low = len(free), len(lower)
+        targets = [maps[w] for w in feeds[v]]
+        at_lower = ((),) * len(targets)
+        if lower:
+            at_lower = tuple(span(f, [mat_apply(f, m, row) for m in ms for row in lower]) for ms in targets)
+        images = {(): at_lower}  # Ubar -> its bounds, built along RREF prefixes
+
+        def image(ubar):
+            img = images.get(ubar)
+            if img is None:
+                vec = _place(ubar[-1], free, n)
+                img = tuple(
+                    b if len(b) == len(ms[0]) else span(f, b + tuple(mat_apply(f, m, vec) for m in ms))
+                    for b, ms in zip(image(ubar[:-1]), targets)
+                )
+                images[ubar] = img
+            return img
+
+        if n1 < 2:  # one subspace per dimension
+            return {(low + len(u), image(u)): [1, u] for u in subspaces_of(f, n1)}
+        at_all = tuple(span(f, [col for m in ms for col in zip(*m)]) for ms in targets)
+        growth = sum(map(len, at_all)) - sum(map(len, at_lower))
+        if growth > 1:
+            return _tally(f, n1, {}, [None] * (n1 + 1), lambda ubar: (low + len(ubar), image(ubar)))
+        exceptions = {}
+        if growth:
+            rows = [row for ms, b in zip(targets, at_lower) for m in ms for row in _induced(f, m, free, b)]
+            exceptions = {u: (low + len(u), at_lower) for u in _subspaces_within(f, kernel(f, rows, n1))}
+        return _tally(f, n1, exceptions, [(low + d, at_all) for d in range(n1 + 1)], None)
 
     def histogram(lower):
         """(dim Ubar, sink ranks) -> [leaves, first Ubar] over the subspaces Ubar of V/lower."""
@@ -595,11 +715,7 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
         middle = []
         for i, mat in fed:
             b = span(f, [mat_apply(f, mat, row) for row in lower]) if lower else ()
-            # the induced map V/L -> W/B: M's columns at L's free columns, reduced against B
-            induced = [[row[c] for c in free] for row in mat]
-            if b:
-                free_b = quotient_data(b, len(mat))
-                induced = list(zip(*(project_to_quotient(f, b, free_b, col) for col in zip(*induced))))
+            induced = _induced(f, mat, free, b)
             if n1 < 2:  # rank 0 or 1, no exception
                 k, kern = n1 - any(map(any, induced)), None
             else:
@@ -617,71 +733,59 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
                 if n1 > 3:
                     middle.append((i, r, kern, k))
         generic = [tuple(g) for g in generic]
-        ranks = {}
+        if n1 < 2:  # one subspace per dimension
+            return {(len(u), generic[len(u)]): [1, u] for u in subspaces_of(f, n1)}
+        keys = {}
         for u, over in exceptions.items():
             t = list(generic[len(u)])
             for i, rank in over.items():
                 t[i] = rank
-            ranks[u] = tuple(t)
-        hist: dict = {}
-        for u in subspaces_of(f, n1):
-            d = len(u)
-            t = ranks.get(u)
-            if t is None:
-                t = generic[d]
-                if middle and 1 < d < n1 - 1:
-                    t = list(t)
-                    for i, r, kern, k in middle:
-                        t[i] = r + extension_rank(f, kern, u) - k
-                    t = tuple(t)
-            entry = hist.get((d, t))
-            if entry is None:
-                hist[d, t] = [1, u]
-            else:
-                entry[0] += 1
-        return hist
+            keys[u] = len(u), tuple(t)
+
+        def walk(u):
+            t = list(generic[len(u)])
+            for i, r, kern, k in middle:
+                t[i] = r + extension_rank(f, kern, u) - k
+            return len(u), tuple(t)
+
+        closed = [None if middle and 1 < d < n1 - 1 else (d, generic[d]) for d in range(n1 + 1)]
+        return _tally(f, n1, keys, closed, walk)
 
     def choice(prefix, lower, ubar):
-        """The inner choice prefix + {last: L + lift(Ubar)} and its sink bounds."""
-        free = quotient_data(lower, n_last)
-        lift = []
-        for row in ubar:
-            v = [0] * n_last
-            for x, c in zip(row, free):
-                v[c] = x
-            lift.append(v)
-        u = span(f, list(lower) + lift)
+        """Each inner vertex's RREF subspace in prefix + {last: L + lift(Ubar)}, and the sink bounds."""
+        chosen = {v: _lift(f, lo, ub, dims.get(v, 0)) for v, (lo, ub) in (prefix | {last: (lower, ubar)}).items()}
         bounds = [()] * len(sinks)
         for i, mat in fed:
-            bounds[i] = span(f, [mat_apply(f, mat, row) for row in u])
-        return prefix | {last: u}, bounds
+            bounds[i] = span(f, [mat_apply(f, mat, row) for row in chosen[last]])
+        return chosen, bounds
 
     # (earlier inner dimensions, lower bound at the last) -> [choices, first choice]
     lowers: dict = {}
 
-    def rec(idx, chosen, inner_dims):
+    def rec(idx, prefix, inner_dims, bounds, mult):
+        """Walk the keys at order[idx] and on; prefix maps each earlier vertex to (L, Ubar)."""
         v = order[idx]
+        lower = bounds.get(v, ())
         if idx == len(order) - 1:
-            key = (inner_dims, bound(v, chosen))
+            key = (inner_dims, lower)
             entry = lowers.get(key)
             if entry is None:
-                lowers[key] = [1, dict(chosen)]
+                lowers[key] = [mult, prefix]
             else:
-                entry[0] += 1
+                entry[0] += mult
             return
-        for u in superspaces(f, bound(v, chosen), dims.get(v, 0)):
-            chosen[v] = u
-            rec(idx + 1, chosen, inner_dims + (len(u),))
-        del chosen[v]
+        for (d, images), (count, ubar) in choices(v, lower).items():
+            below = bounds | dict(zip(feeds[v], images))
+            rec(idx + 1, prefix | {v: (lower, ubar)}, inner_dims + (d,), below, mult * count)
 
     # signature -> [inner choices, () -> representative choice and its sink bounds]
     groups: dict = {}
     if order:
-        rec(0, {}, ())
+        rec(0, {}, (), {}, 1)
     else:
         groups[(), (0,) * len(sinks)] = [1, lambda: ({}, [()] * len(sinks))]
     hists: dict = {}  # lower bound -> histogram
-    for (inner_dims, lower), (choices, prefix) in lowers.items():
+    for (inner_dims, lower), (times, prefix) in lowers.items():
         hist = hists.get(lower)
         if hist is None:
             hist = hists[lower] = histogram(lower)
@@ -689,9 +793,9 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
             sig = (inner_dims + (len(lower) + d,), ranks)
             group = groups.get(sig)
             if group is None:
-                groups[sig] = [choices * leaves, partial(choice, prefix, lower, ubar)]
+                groups[sig] = [times * leaves, partial(choice, prefix, lower, ubar)]
             else:
-                group[0] += choices * leaves
+                group[0] += times * leaves
 
     vertices = rep.quiver.vertices
     inner_at = {v: i for i, v in enumerate(order)}

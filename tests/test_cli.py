@@ -192,6 +192,29 @@ def test_parse_errors_name_the_flag_and_value(argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each printed argparse's usage block before the error line
+        (("classify", "--dmax", "x"), "gepnerstab classify: error: argument --dmax: invalid int value: 'x'"),
+        (("stability", "--type", "1,1:4", "--object", "C0", "--max-q", "abc"), "gepnerstab stability: error: argument --max-q: invalid int value: 'abc'"),
+        (("nosuch",), "gepnerstab: error: argument cmd: invalid choice: 'nosuch'"),
+        (("--json",), "gepnerstab: error: the following arguments are required: cmd"),
+    ],
+)
+def test_argparse_errors_print_one_line(argv, message):
+    proc = run_cli(*argv)
+    assert_usage_error(proc)
+    assert proc.stderr.startswith(message), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("classify", "--help")])
+def test_help_exits_zero(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: gepnerstab")
+
+
 @pytest.mark.parametrize("primes", ["49", "4", "9", "0", "1", "-5", "5,x", "131"])
 def test_stability_rejects_non_primes(primes):
     # 49 used to hang in the field set-up; the others reported a verification failure

@@ -1,12 +1,14 @@
 import json
 import random
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from gepnerstab.gfield import (
     GF,
+    extend_to_dim,
     extension_rank,
     field_for,
     gaussian_binomial,
@@ -38,6 +40,7 @@ from gepnerstab.quiverrep import (
     subrep_classes,
     subrep_restriction,
 )
+from gepnerstab.quiverrep import _tally
 
 T113 = WeightedType((1, 1), 3)
 T214 = WeightedType((2, 1), 4)
@@ -457,6 +460,158 @@ def test_subrep_kernel_cases(name):
         sub = subrep_restriction(rep, cls.witness)
         assert sub.dim_vector() == dims and sub.validate()
     assert _record_classes(rep) == json.loads(KERNEL_GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("p, k, n", [(3, 1, 3), (2, 2, 3), (5, 1, 2)])
+def test_tally_matches_a_walk(p, k, n):
+    """_tally equals a walk through subspaces_of that keys every subspace, first-met order included.
+
+    Exceptions share keys with each other and with generic subspaces, and one
+    exception is the first subspace of each block, so the first generic
+    subspace lies past it.
+    """
+    f = GF(p, k)
+    subs = subspaces_of(f, n)
+    rng = random.Random(p * 100 + k * 10 + n)
+    walked = 2 if n > 2 else None  # the dimension without a closed form
+
+    def walk(u):
+        return "w", sum(map(sum, u)) % 3
+
+    generic = [None if d == walked else ("g", d % 2) for d in range(n + 1)]
+    blocks = [[u for u in subs if len(u) == d] for d in range(n + 1)]
+    exceptions = {}
+    for d, block in enumerate(blocks):
+        if d != walked and len(block) > 1:
+            for u in [block[0]] + rng.sample(block, len(block) // 3):
+                exceptions[u] = rng.choice([("e", 0), ("e", 1), ("g", d % 2)])
+    expected: dict = {}
+    for u in subs:
+        key = exceptions.get(u) or (walk(u) if len(u) == walked else generic[len(u)])
+        expected.setdefault(key, [0, u])[0] += 1
+    assert _tally(f, n, exceptions, generic, walk) == expected
+    assert list(_tally(f, n, exceptions, generic, walk)) == list(expected)
+
+
+def _walk_subreps(rep) -> dict:
+    """Dimension vector -> [count, witness], walking the inner choices one at a time.
+
+    Each inner vertex, in subrep_plan order, runs through ``superspaces`` of
+    the image of the choices before it.  Each full choice then expands the
+    sinks, the last sink varying fastest, with the number of subspaces of
+    each dimension above a sink's image.  The first choice to reach a
+    dimension vector is its witness, each sink's image extended to its
+    dimension.
+    """
+    q, f, dims = rep.quiver, rep.field, rep.dims
+    order, sinks, _ = q.subrep_plan
+    out: dict = {}
+
+    def image(v, chosen):
+        return span(f, [mat_apply(f, rep.mats[a.label], x) for a in q.arrows_into(v) for x in chosen.get(a.src, ())])
+
+    def walk(chosen):
+        if len(chosen) < len(order):
+            v = order[len(chosen)]
+            for u in superspaces(f, image(v, chosen), dims.get(v, 0)):
+                walk(chosen | {v: u})
+            return
+        bounds = {s: image(s, chosen) for s in sinks}
+        per_sink = [
+            [(m, gaussian_binomial(dims.get(s, 0) - len(b), m - len(b), f.q)) for m in range(len(b), dims.get(s, 0) + 1)]
+            for s, b in bounds.items()
+        ]
+        for picks in product(*per_sink):
+            at = dict(zip(sinks, (m for m, _ in picks)))
+            key = tuple(at[v] if v in at else len(chosen[v]) for v in q.vertices)
+            entry = out.setdefault(key, [0, None])
+            entry[0] += prod(c for _, c in picks)
+            if entry[1] is None:
+                entry[1] = chosen | {s: extend_to_dim(f, b, at[s], dims.get(s, 0)) for s, b in bounds.items()}
+
+    walk({})
+    return out
+
+
+class _Dims(random.Random):
+    """A Random whose first randint calls return the given dimensions, so random_rep draws only the maps."""
+
+    def __init__(self, seed, dims):
+        super().__init__(seed)
+        self._dims = list(dims)
+
+    def randint(self, a, b):
+        return self._dims.pop(0) if self._dims else super().randint(a, b)
+
+
+def _seeded(t, p, dims, seed=0):
+    return random_rep(heart_quiver(t), p, _Dims(seed, dims), max_dim=5, inner_budget=12, total_budget=12)
+
+
+def _growth_case(rank):
+    """(3,1;6) over F_5 with C(1) = F_5^3 and X2 of the given rank: the image of C(1) grows by that much.
+
+    At rank 1 the kernel of X2 is span(e0, e1), which holds the first line
+    and the first plane of subspaces_of: the first choice of each dimension
+    outside the kernel comes later in its block.
+    """
+    q = heart_quiver(T316)
+    f = field_for(5, q.conductor)
+    x2 = {
+        0: ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        1: ((0, 0, 3), (0, 0, 1), (0, 0, 0)),
+        2: ((1, 2, 3), (0, 1, 4), (1, 3, 2)),
+        3: ((1, 2, 3), (0, 1, 4), (0, 0, 2)),
+    }[rank]
+    assert _rank(f, x2) == rank
+    rng = random.Random(rank)
+    pi = {label: tuple(tuple(rng.randrange(5) for _ in range(3)) for _ in range(2)) for label in ("pi1", "pi2")}
+    return QuiverRep(q, f, {"C(1)": 3, "C(0)": 3, "PsiO(p1)": 2, "PsiO(p2)": 2}, {"X2": x2} | pi)
+
+
+def _chain_case(p, k, dims, seed, **fixed):
+    """A -> B -> C -> S, A feeding B by two arrows: B's lower bound is the image of A's choice.
+
+    The maps are drawn from the seed, except those given in fixed.
+    """
+    arrows = (Arrow("A", "B", "a1"), Arrow("A", "B", "a2"), Arrow("B", "C", "b"), Arrow("C", "S", "s"))
+    q = QuiverWithRelations(wtype=T113, vertices=("A", "B", "C", "S"), arrows=arrows, relations=(), conductor=1)
+    f = GF(p, k)
+    rng = random.Random(seed)
+    dims = dict(zip(q.vertices, dims))
+    mats = {a.label: tuple(tuple(rng.randrange(f.q) for _ in range(dims[a.src])) for _ in range(dims[a.tgt])) for a in arrows}
+    return QuiverRep(q, f, dims, mats | fixed)
+
+
+ORDER_CASES = {
+    "C1-growth-0": lambda: _growth_case(0),
+    "C1-growth-1": lambda: _growth_case(1),
+    "C1-growth-2": lambda: _growth_case(2),
+    "C1-growth-3": lambda: _growth_case(3),
+    # C(0) = F_25 fed by X1 and X2: growth at most 1, with a kernel of codimension up to 2
+    "114-F25-(3,1,0,1,1,3)": lambda: _seeded(T114, 5, (3, 1, 0, 1, 1, 3)),
+    "114-F25-(2,3,1,1,1,2)": lambda: _seeded(T114, 5, (2, 3, 1, 1, 1, 2), seed=1),
+    "214-F5^4": lambda: _seeded(T214, 5, (4, 2, 3)),
+    # pi1 kills e0: the first line and the first plane of F_5^3 are exceptions
+    "214-F5^3-kernel-e0": lambda: QuiverRep(
+        heart_quiver(T214), GF(5), {"C(0)": 3, "PsiO(p1)": 2, "PsiO(p2)": 1}, {"pi1": ((0, 1, 0), (0, 0, 1)), "pi2": ((1, 2, 3),)}
+    ),
+    "326-F5^5": lambda: _seeded(T326, 5, (5, 2)),
+    "chain-F5": lambda: _chain_case(5, 1, (2, 3, 3, 2), 1),
+    "chain-F4": lambda: _chain_case(2, 2, (2, 3, 2, 1), 2),
+    # B's bound span(e0) maps to a line of C = F_5^2, B itself onto C: growth 1 above a nonzero bound
+    "chain-F5-growth-1": lambda: _chain_case(5, 1, (1, 3, 2, 1), 3, a1=((1,), (0,), (0,)), a2=((0,), (0,), (0,)), b=((1, 0, 3), (0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_subrep_classes_match_the_choice_by_choice_walk(name):
+    """Class order, counts and witnesses equal those of a walk one choice at a time."""
+    rep = ORDER_CASES[name]()
+    assert rep.validate()
+    walked = _walk_subreps(rep)
+    classes = subrep_classes(rep)
+    assert [(dims, cls.count, cls.witness) for dims, cls in classes.items()] == [(d, n, w) for d, (n, w) in walked.items()]
 
 
 @pytest.mark.parametrize(

@@ -313,7 +313,7 @@ def cmd_stability(args) -> int:
     fields = []
     for p in primes:
         red = reduce_rep(obj, p, max_q=args.max_q)
-        v = is_stable(red, spec, max_q=args.max_q)
+        v = is_stable(red, spec)
         verdicts.append(v)
         fields.append(f"F_{p}" + (f" via {red.field.label()}" if red.field.k > 1 else ""))
     all_stable = all(v.ok for v in verdicts)
@@ -427,7 +427,7 @@ def cmd_hn(args) -> int:
         return 1
     lat = lattice_for(wtype)
     spec = StabilitySpec(lat, args.mode) if args.mode else default_spec(wtype)
-    res = hn_filtration(rep, spec, max_q=args.max_q)
+    res = hn_filtration(rep, spec)
     lines = [f"HN filtration over {res.field_label} [{res.mode} order]:"]
     for dims, key in res.factors:
         shown = key if not hasattr(key, "approx") else f"phase~{key.approx():.4f}"

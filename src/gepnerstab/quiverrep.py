@@ -46,7 +46,7 @@ from .gfield import (
     subspace_index,
     subspaces_of,
 )
-from .hearts import CaseLattice, lattice_for, phase_key, points_of, slope_mu
+from .hearts import CaseLattice, im_units, lattice_for, phase_key, points_of, slope_mu
 from .mfcore import WeightedType
 from .polynomials import monomials_of_weighted_degree
 
@@ -90,9 +90,6 @@ class QuiverWithRelations:
 
     def arrows_into(self, v: str):
         return [a for a in self.arrows if a.tgt == v]
-
-    def lattice(self) -> CaseLattice:
-        return lattice_for(self.wtype)
 
     @cached_property
     def subrep_plan(self) -> SubrepPlan:
@@ -383,7 +380,6 @@ def reduce_rep(rep: QuiverRep, p: int, max_q: int | None = None) -> QuiverRep:
 
 
 MAX_TOTAL_DIM = 12
-MAX_Q_ORACLE = 49
 MAX_SUBSPACES = 10**5  # subspaces of one enumerated vertex
 
 
@@ -458,14 +454,18 @@ class SubrepClass:
         return self._witness
 
 
-def _check_guard(rep: QuiverRep, max_q: int):
+def _check_guard(rep: QuiverRep):
+    """Refuse, before it starts, a search that the bounds do not cover.
+
+    MAX_TOTAL_DIM bounds the dimension vectors, and MAX_SUBSPACES, counted
+    from q, the subspaces at each inner vertex.  q itself is not bounded
+    here: whoever built the field sized it (bounded_field).
+    """
     if rep.field is EXACT:
         raise ResourceLimitError("subrepresentation search runs over finite fields")
     if rep.total_dim() > MAX_TOTAL_DIM:
         raise ResourceLimitError(f"total dimension {rep.total_dim()} exceeds {MAX_TOTAL_DIM}")
     q = rep.field.q
-    if q > max_q:
-        raise ResourceLimitError(f"field size {q} exceeds {max_q}")
     for v in rep.quiver.subrep_plan.order:
         n = rep.dims.get(v, 0)
         count = sum(gaussian_binomial(n, d, q) for d in range(n + 1))
@@ -599,7 +599,7 @@ def _tally(field: GF, n: int, exceptions: dict, generic, walk) -> dict:
     return {key: [count[key], subs[first[key]]] for key in (sorted(first, key=first.get) if exceptions else first)}
 
 
-def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
+def subrep_classes(rep: QuiverRep) -> dict:
     """All subrepresentation dimension vectors with counts and witnesses.
 
     A subrepresentation is a subspace at each inner vertex (those with
@@ -615,7 +615,8 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     sink product is expanded once, after the search.  The result keeps the
     order in which a walk choice by choice, the last sink varying fastest,
     would first meet each dimension vector.  Witnesses are lazy (see
-    SubrepClass).
+    SubrepClass).  _check_guard bounds the work over any field: the total
+    dimension and the subspaces at each inner vertex.
 
     The search counts subspace choices per dimension instead of walking
     them.  At an inner vertex of dimension n with lower bound L the choices
@@ -660,7 +661,7 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     is built only for a signature's first leaf, whose choice becomes the
     witness.
     """
-    _check_guard(rep, max_q)
+    _check_guard(rep)
     order, sinks, into = rep.quiver.subrep_plan
     f = rep.field
     dims = rep.dims
@@ -826,9 +827,9 @@ def subrep_classes(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> dict:
     return out
 
 
-def all_subreps(rep: QuiverRep, max_q: int = MAX_Q_ORACLE) -> list[tuple[tuple[int, ...], int]]:
+def all_subreps(rep: QuiverRep) -> list[tuple[tuple[int, ...], int]]:
     """Public oracle: multiset of subrepresentation dimension vectors."""
-    classes = subrep_classes(rep, max_q)
+    classes = subrep_classes(rep)
     return sorted((dims, cls.count) for dims, cls in classes.items())
 
 
@@ -930,19 +931,19 @@ class Verdict:
     mode: str
     checked: int
     shortcut_agrees: bool | None = None
-    ok: bool = False  # stable, or semistable when strict=False was asked
+    ok: bool = False
 
 
-def is_stable(rep: QuiverRep, spec: StabilitySpec, strict: bool = True, max_q: int = MAX_Q_ORACLE) -> Verdict:
+def is_stable(rep: QuiverRep, spec: StabilitySpec) -> Verdict:
     """Compare every proper nonzero subrepresentation class with the total.
 
-    In phase mode the minimal-imaginary-part shortcut is also evaluated
-    when the case provides one, and must agree with the exhaustive
-    verdict.
+    ok is True exactly when the status is "stable".  In phase mode the
+    minimal-imaginary-part shortcut is also evaluated when the case
+    provides one, and must agree with the exhaustive verdict.
     """
     total = rep.kclass()
     key_e = spec.key(total)
-    classes = subrep_classes(rep, max_q)
+    classes = subrep_classes(rep)
     status = "stable"
     witness = None
     zero = tuple(0 for _ in total)
@@ -961,16 +962,13 @@ def is_stable(rep: QuiverRep, spec: StabilitySpec, strict: bool = True, max_q: i
     if status != "unstable" and semistable_hit is not None:
         status, witness = "semistable_only", semistable_hit
     shortcut = _imaginary_shortcut(rep, spec, classes, key_e, status)
-    ok = status == "stable" or (not strict and status == "semistable_only")
-    return Verdict(status, witness, rep.field.label(), spec.mode, checked, shortcut, ok)
+    return Verdict(status, witness, rep.field.label(), spec.mode, checked, shortcut, status == "stable")
 
 
 def _imaginary_shortcut(rep, spec, classes, key_e, status):
     """The cheap criterion: an object at minimal positive rotated-Im is
     stable iff it receives nothing from Im-zero classes (evaluated as: no
     proper subrep class with Im-units 0 and phase >= the total's)."""
-    from .hearts import im_units
-
     lat = spec.lattice
     if lat.case not in ((3, -1), (2, -2)):
         return None
@@ -997,52 +995,34 @@ class HNResult:
     mode: str
 
 
-def hn_filtration(rep: QuiverRep, spec: StabilitySpec, max_q: int = MAX_Q_ORACLE) -> HNResult:
+def hn_filtration(rep: QuiverRep, spec: StabilitySpec) -> HNResult:
     """Greedy maximal-destabilizer filtration with verified subquotients.
 
-    Tie-break inside each step: maximal key, then maximal total dimension,
-    then lexicographically minimal dimension vector; a genuine tie after
-    that is reported as an error since the maximal destabilizer is unique.
+    Each step takes the subrepresentation of maximal key and, among those,
+    of maximal total dimension.  That destabilizer is unique, so more than
+    one class left, or one class of more than one subrepresentation, raises
+    HNTieError naming the least tied dimension vector.
     """
     factors = []
     current = rep
     zero_total = tuple(0 for _ in rep.quiver.vertices)
     while current.kclass() != zero_total:
-        classes = subrep_classes(current, max_q)
-        best_dims = None
-        best_key = None
-        for dims, cls in classes.items():
-            if dims == zero_total:
-                continue
-            k = spec.key(dims)
-            if best_dims is None:
-                best_dims, best_key = dims, k
-                continue
-            if k > best_key:
-                best_dims, best_key = dims, k
-            elif not (k < best_key):
-                # equal keys: larger total dimension wins, then lex-min
-                if sum(dims) > sum(best_dims):
-                    best_dims, best_key = dims, k
-                elif sum(dims) == sum(best_dims) and dims < best_dims:
-                    best_dims, best_key = dims, k
+        classes = subrep_classes(current)
+        keys = {dims: spec.key(dims) for dims in classes if dims != zero_total}
+        best_key = max(keys.values())
+        tied = [dims for dims, k in keys.items() if k == best_key]
+        top = max(map(sum, tied))
+        tied = [dims for dims in tied if sum(dims) == top]
+        best_dims = min(tied)
         chosen = classes[best_dims]
-        rivals = [
-            d
-            for d, c in classes.items()
-            if d != best_dims
-            and sum(d) == sum(best_dims)
-            and not (spec.key(d) < best_key)
-            and not (best_key < spec.key(d))
-        ]
-        if chosen.count > 1 or rivals:
+        if len(tied) > 1 or chosen.count > 1:
             raise HNTieError(f"non-unique maximal destabilizer at {best_dims}")
         if best_dims == current.kclass():
             factors.append((best_dims, best_key))
             break
         sub = subrep_restriction(current, chosen.witness)
         # the extracted factor must itself be semistable
-        sub_verdict = is_stable(sub, spec, max_q=max_q)
+        sub_verdict = is_stable(sub, spec)
         if sub_verdict.status == "unstable":
             raise HNTieError("extracted factor is not semistable")
         factors.append((best_dims, best_key))

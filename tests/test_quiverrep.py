@@ -1,8 +1,10 @@
 import json
 import random
+import re
 from itertools import product
 from math import prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +24,7 @@ from gepnerstab.hearts import lattice_for
 from gepnerstab.mfcore import WeightedType
 from gepnerstab.quiverrep import (
     Arrow,
+    HNTieError,
     QuiverRep,
     QuiverWithRelations,
     ResourceLimitError,
@@ -318,6 +321,13 @@ def test_subrep_oracle_against_bruteforce_with_relations():
         if rep.total_dim() == 0:
             continue
         assert dict(all_subreps(rep)) == _bruteforce_subreps(rep)
+
+
+def test_subrep_oracle_against_bruteforce_over_f121():
+    """The search takes any field it is given; its work is bounded per vertex, not by q."""
+    rep = _seeded(T113, 11, (2, 1, 2, 1))
+    assert rep.field.q == 121 and rep.dims["C(0)"] == 2
+    assert dict(all_subreps(rep)) == _bruteforce_subreps(rep)
 
 
 @pytest.mark.parametrize(
@@ -664,7 +674,7 @@ def test_subspace_guard_accepts_up_to_its_bound():
     for p, subspaces in ((7, 4_904), (11, 29_528)):
         rep = _zero_rep(T114, p, {"C(0)": 3})
         assert rep.field.q == p * p
-        assert sum(cls.count for cls in subrep_classes(rep, max_q=121).values()) == subspaces
+        assert sum(cls.count for cls in subrep_classes(rep).values()) == subspaces
     # F_5^5 (42,176): a star with one sink of dimension 1 and a nonzero map phi.
     # U inside ker phi (1,120 subspaces of F_5^4) leaves the sink free, any other U fills it.
     q = heart_quiver(T326)
@@ -756,7 +766,7 @@ def test_stability_verdicts_invariant_across_good_primes():
             statuses = set()
             for p in (5, 7, 11):
                 red = reduce_rep(obj, p)
-                statuses.add(is_stable(red, spec, max_q=130).status)
+                statuses.add(is_stable(red, spec).status)
             assert statuses == {"stable"}, (t, name)
 
 
@@ -824,6 +834,18 @@ def test_hn_two_factors_ordered():
     rep = QuiverRep(q, f, dims, dict(tau.mats) | {"pi2": ((0,),)})
     res = hn_filtration(rep, default_spec(t))
     assert [d for d, _ in res.factors] == [(1, 1, 0, 0), (0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize(
+    "dims, tied",
+    [({"PsiO(p1)": 1, "PsiO(p2)": 1}, (0, 0, 1, 0)), ({"PsiO(p1)": 2}, (0, 1, 0, 0))],
+    ids=["two-classes", "one-class-of-six"],
+)
+def test_hn_refuses_a_tied_destabilizer(dims, tied):
+    # a key that prefers the smallest subrep: every simple summand is maximal
+    spec = SimpleNamespace(key=lambda d: -sum(d), mode="slope")
+    with pytest.raises(HNTieError, match=re.escape(f"non-unique maximal destabilizer at {tied}") + "$"):
+        hn_filtration(_zero_rep(T113, 5, dims), spec)
 
 
 @pytest.mark.parametrize("t", N2_TYPES, ids=str)

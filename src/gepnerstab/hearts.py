@@ -540,32 +540,29 @@ class PhaseKey:
         self._row = form.row(self.cls)
         self._approx = None
 
-    def _cross_sign(self, other: "PhaseKey") -> int:
-        # sign of Im(conj(w1) w2); positive means self precedes other
-        return self._row.sign(other.cls, other._norm)
+    def _cmp(self, other: "PhaseKey") -> int:
+        """Negative, zero or positive as self precedes, ties with or follows other."""
+        if self.region != other.region:
+            return self.region - other.region
+        if self.region in (1, 3):
+            return 0
+        # the sign of Im(conj(w1) w2) is positive when self precedes other
+        return -self._row.sign(other.cls, other._norm)
 
     def __eq__(self, other):
-        if self.region != other.region:
-            return False
-        if self.region in (1, 3):
-            return True
-        return self._cross_sign(other) == 0
+        return self._cmp(other) == 0
 
     def __lt__(self, other):
-        if self.region != other.region:
-            return self.region < other.region
-        if self.region in (1, 3):
-            return False
-        return self._cross_sign(other) > 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return self == other or self < other
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return other < self
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return other <= self
+        return self._cmp(other) >= 0
 
     __hash__ = None
 

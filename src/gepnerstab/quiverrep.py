@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import product
 from typing import NamedTuple
@@ -99,6 +101,14 @@ class QuiverWithRelations:
         """
         return _subrep_plan(self)
 
+    @cached_property
+    def _intern(self) -> dict:
+        """One copy of each dimension tuple and count kept by the results cached on this quiver's reps.
+
+        Equal values are then shared by the reps instead of repeated per rep.
+        """
+        return {}
+
 
 def heart_quiver(wtype: WeightedType) -> QuiverWithRelations:
     """The star ((2,-1)) or two-step ((2,-2)) presentation of the heart."""
@@ -147,7 +157,9 @@ class QuiverRep:
     """dims per vertex and a matrix (rows x cols = tgt x src) per arrow.
 
     field is either the EXACT marker (entries CycloNum) or a GF instance
-    (entries integer codes).
+    (entries integer codes).  A rep must not be mutated once built: its
+    subrepresentation search runs once and is cached on it (see
+    subrep_classes).  dataclasses.replace makes a new rep, searched afresh.
     """
 
     quiver: QuiverWithRelations
@@ -182,6 +194,10 @@ class QuiverRep:
                     if reduce(add, map(mul, row, col)) != 0:
                         return False
         return True
+
+    @cached_property
+    def _subrep_classes(self) -> SubrepClasses:
+        return _search_subreps(self)
 
 
 def _entry_ops(field, conductor: int):
@@ -433,25 +449,74 @@ class SubrepClass:
     extended to the class's sink dimension.
     """
 
-    __slots__ = ("dims", "count", "_field", "_choice", "_sinks", "_witness")
+    __slots__ = ("dims", "count", "_build", "_witness")
 
-    def __init__(self, dims: tuple[int, ...], count: int, field: GF, choice, sinks: list):
+    def __init__(self, dims: tuple[int, ...], count: int, build):
         self.dims = dims
         self.count = count
-        self._field = field
-        self._choice = choice  # () -> (inner vertex -> RREF subspace, sink bounds)
-        self._sinks = sinks  # (sink, its slot in dims, its dimension), shared per call
+        self._build = build  # () -> the witness
         self._witness = None
 
     @property
     def witness(self) -> dict:
         if self._witness is None:
-            inner, bounds = self._choice()
-            witness = dict(inner)
-            for (s, i, n), bound in zip(self._sinks, bounds):
-                witness[s] = extend_to_dim(self._field, bound, self.dims[i], n)
-            self._witness = witness
+            self._witness = self._build()
         return self._witness
+
+
+class SubrepClasses(Mapping):
+    """The read-only result of subrep_classes: dimension vector -> SubrepClass.
+
+    It holds each vector's count and the signature groups, per inner
+    dimensions in the order of the search, and shares the rest with the
+    rep.  A vector's SubrepClass is built when it is read, from the first
+    group of its inner dimensions whose sink bounds it contains: the group
+    that first met it.
+    """
+
+    __slots__ = ("_counts", "_groups", "_quiver", "_field", "_dims", "_mats")
+
+    def __init__(self, counts: dict, groups: dict, rep: QuiverRep):
+        self._counts = counts  # dims -> number of subreps
+        self._groups = groups  # inner dims -> [(sink bound dims, prefix, L, Ubar)], see _witness
+        # the rep's parts, not the rep: a reference back to the rep would make a cycle that
+        # keeps both alive until the next garbage collection
+        self._quiver, self._field, self._dims, self._mats = rep.quiver, rep.field, rep.dims, rep.mats
+
+    def __len__(self):
+        return len(self._counts)
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __contains__(self, dims):
+        return dims in self._counts
+
+    def __getitem__(self, dims) -> SubrepClass:
+        count = self._counts[dims]
+        vertices = self._quiver.vertices
+        order, sinks, _ = self._quiver.subrep_plan
+        slots = [vertices.index(s) for s in sinks]
+        groups = self._groups[tuple(dims[vertices.index(v)] for v in order)]
+        choice = next(rest for los, *rest in groups if all(lo <= dims[i] for lo, i in zip(los, slots)))
+        return SubrepClass(dims, count, partial(self._witness, dims, *choice))
+
+    def _witness(self, dims, prefix, lower, ubar) -> dict:
+        """The lifted inner choices of a group, each sink's image extended to its dimension in dims."""
+        f, n_at, vertices = self._field, self._dims, self._quiver.vertices
+        order, sinks, into = self._quiver.subrep_plan
+        witness = {v: _lift(f, lo, ub, n_at.get(v, 0)) for v, lo, ub in prefix}
+        if order:
+            last = order[-1]
+            witness[last] = _lift(f, lower, ubar, n_at.get(last, 0))
+        for s in sinks:
+            n = n_at.get(s, 0)
+            bound = ()
+            if n and s in into:
+                mat = self._mats[into[s][1][0]]
+                bound = span(f, [mat_apply(f, mat, row) for row in witness[last]])
+            witness[s] = extend_to_dim(f, bound, dims[vertices.index(s)], n)
+        return witness
 
 
 def _check_guard(rep: QuiverRep):
@@ -599,8 +664,13 @@ def _tally(field: GF, n: int, exceptions: dict, generic, walk) -> dict:
     return {key: [count[key], subs[first[key]]] for key in (sorted(first, key=first.get) if exceptions else first)}
 
 
-def subrep_classes(rep: QuiverRep) -> dict:
+def subrep_classes(rep: QuiverRep) -> SubrepClasses:
     """All subrepresentation dimension vectors with counts and witnesses.
+
+    The result is a read-only mapping, searched on the first call and
+    cached on rep, so rep must not be mutated after it is built; every
+    later call for rep returns the same object.  subrep_classes,
+    all_subreps, is_stable and hn_filtration thus search a rep once.
 
     A subrepresentation is a subspace at each inner vertex (those with
     arrows out), each containing the images of the earlier ones, and at
@@ -661,6 +731,11 @@ def subrep_classes(rep: QuiverRep) -> dict:
     is built only for a signature's first leaf, whose choice becomes the
     witness.
     """
+    return rep._subrep_classes
+
+
+def _search_subreps(rep: QuiverRep) -> SubrepClasses:
+    """The search behind subrep_classes, run once per rep."""
     _check_guard(rep)
     order, sinks, into = rep.quiver.subrep_plan
     f = rep.field
@@ -752,19 +827,11 @@ def subrep_classes(rep: QuiverRep) -> dict:
         closed = [None if middle and 1 < d < n1 - 1 else (d, generic[d]) for d in range(n1 + 1)]
         return _tally(f, n1, keys, closed, walk)
 
-    def choice(prefix, lower, ubar):
-        """Each inner vertex's RREF subspace in prefix + {last: L + lift(Ubar)}, and the sink bounds."""
-        chosen = {v: _lift(f, lo, ub, dims.get(v, 0)) for v, (lo, ub) in (prefix | {last: (lower, ubar)}).items()}
-        bounds = [()] * len(sinks)
-        for i, mat in fed:
-            bounds[i] = span(f, [mat_apply(f, mat, row) for row in chosen[last]])
-        return chosen, bounds
-
     # (earlier inner dimensions, lower bound at the last) -> [choices, first choice]
     lowers: dict = {}
 
     def rec(idx, prefix, inner_dims, bounds, mult):
-        """Walk the keys at order[idx] and on; prefix maps each earlier vertex to (L, Ubar)."""
+        """Walk the keys at order[idx] and on; prefix holds (v, L, Ubar) per earlier vertex."""
         v = order[idx]
         lower = bounds.get(v, ())
         if idx == len(order) - 1:
@@ -777,14 +844,14 @@ def subrep_classes(rep: QuiverRep) -> dict:
             return
         for (d, images), (count, ubar) in choices(v, lower).items():
             below = bounds | dict(zip(feeds[v], images))
-            rec(idx + 1, prefix | {v: (lower, ubar)}, inner_dims + (d,), below, mult * count)
+            rec(idx + 1, prefix + ((v, lower, ubar),), inner_dims + (d,), below, mult * count)
 
-    # signature -> [inner choices, () -> representative choice and its sink bounds]
+    # signature -> [inner choices, the representative's (prefix, L, Ubar)]
     groups: dict = {}
     if order:
-        rec(0, {}, (), {}, 1)
+        rec(0, (), (), {}, 1)
     else:
-        groups[(), (0,) * len(sinks)] = [1, lambda: ({}, [()] * len(sinks))]
+        groups[(), (0,) * len(sinks)] = [1, ((), (), ())]
     hists: dict = {}  # lower bound -> histogram
     for (inner_dims, lower), (times, prefix) in lowers.items():
         hist = hists.get(lower)
@@ -794,7 +861,7 @@ def subrep_classes(rep: QuiverRep) -> dict:
             sig = (inner_dims + (len(lower) + d,), ranks)
             group = groups.get(sig)
             if group is None:
-                groups[sig] = [times * leaves, partial(choice, prefix, lower, ubar)]
+                groups[sig] = [times * leaves, (prefix, lower, ubar)]
             else:
                 group[0] += times * leaves
 
@@ -806,9 +873,12 @@ def subrep_classes(rep: QuiverRep) -> dict:
     for s in sinks:
         n = dims.get(s, 0)
         above[s] = [[(m, gaussian_binomial(n - lo, m - lo, f.q)) for m in range(lo, n + 1)] for lo in range(n + 1)]
-    sink_slots = [(s, vertices.index(s), dims.get(s, 0)) for s in sinks]
-    out: dict[tuple[int, ...], SubrepClass] = {}
-    for (inner_dims, los), (leaves, realize) in groups.items():
+    pool = rep.quiver._intern
+    counts: dict[tuple[int, ...], int] = {}
+    by_inner: dict = {}
+    for (inner_dims, los), (leaves, (prefix, lower, ubar)) in groups.items():
+        inner_dims, los = pool.setdefault(inner_dims, inner_dims), pool.setdefault(los, los)
+        by_inner.setdefault(inner_dims, []).append((los, prefix, lower, ubar))
         # every dimension vector of the group with its count, the last sink varying fastest
         rows = [((), leaves)]
         for v in vertices:
@@ -819,18 +889,14 @@ def subrep_classes(rep: QuiverRep) -> dict:
                 table = above[v][los[sink_at[v]]]
                 rows = [(key + (m,), count * c) for key, count in rows for m, c in table]
         for key, count in rows:
-            cls = out.get(key)
-            if cls is None:
-                out[key] = SubrepClass(key, count, f, realize, sink_slots)
-            else:
-                cls.count += count
-    return out
+            counts[key] = counts.get(key, 0) + count
+    counts = {pool.setdefault(key, key): pool.setdefault(count, count) for key, count in counts.items()}
+    return SubrepClasses(counts, by_inner, rep)
 
 
 def all_subreps(rep: QuiverRep) -> list[tuple[tuple[int, ...], int]]:
     """Public oracle: multiset of subrepresentation dimension vectors."""
-    classes = subrep_classes(rep)
-    return sorted((dims, cls.count) for dims, cls in classes.items())
+    return sorted((dims, cls.count) for dims, cls in subrep_classes(rep).items())
 
 
 def subrep_restriction(rep: QuiverRep, witness: dict) -> QuiverRep:
@@ -894,9 +960,52 @@ def quotient_rep(rep: QuiverRep, witness: dict) -> QuiverRep:
 # ---------------------------------------------------------------------------
 
 
+class SlopeKey(Fraction):
+    """A finite slope as a stability key: a Fraction, compared faster.
+
+    Against another SlopeKey the comparisons cross-multiply the integer
+    numerators and denominators (denominators are positive); against
+    anything else, such as the infinite slopes, they are Fraction's.  The
+    value, hash and str are the Fraction's.
+    """
+
+    __slots__ = ()
+
+    def __eq__(a, b):
+        if type(b) is SlopeKey:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
+
+    def __lt__(a, b):
+        if type(b) is SlopeKey:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        if type(b) is SlopeKey:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        if type(b) is SlopeKey:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        if type(b) is SlopeKey:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        return Fraction.__ge__(a, b)
+
+
 @dataclass(frozen=True)
 class StabilitySpec:
-    """Comparator on K-classes: window phases or the case slope."""
+    """Comparator on K-classes: window phases or the case slope.
+
+    key gives a PhaseKey in phase mode, and in slope mode a SlopeKey, or
+    the float +-inf for an infinite slope.
+    """
 
     lattice: CaseLattice
     mode: str  # "phase" | "slope"
@@ -912,7 +1021,8 @@ class StabilitySpec:
             if self.mode == "phase":
                 cache[cls] = phase_key(self.lattice, cls)
             else:
-                cache[cls] = slope_mu(self.lattice, cls)
+                mu = slope_mu(self.lattice, cls)
+                cache[cls] = SlopeKey(mu) if isinstance(mu, Fraction) else mu
         return cache[cls]
 
 
@@ -949,16 +1059,19 @@ def is_stable(rep: QuiverRep, spec: StabilitySpec) -> Verdict:
     zero = tuple(0 for _ in total)
     checked = 0
     semistable_hit = None
-    for dims, cls in classes.items():
+    for dims in classes:
         if dims == zero or dims == total:
             continue
         checked += 1
         k = spec.key(dims)
-        if k > key_e:
+        if k < key_e:
+            continue
+        if k == key_e:
+            if semistable_hit is None:
+                semistable_hit = dims
+        else:
             status, witness = "unstable", dims
             break
-        if k == key_e and semistable_hit is None:
-            semistable_hit = dims
     if status != "unstable" and semistable_hit is not None:
         status, witness = "semistable_only", semistable_hit
     shortcut = _imaginary_shortcut(rep, spec, classes, key_e, status)
@@ -1001,23 +1114,35 @@ def hn_filtration(rep: QuiverRep, spec: StabilitySpec) -> HNResult:
     Each step takes the subrepresentation of maximal key and, among those,
     of maximal total dimension.  That destabilizer is unique, so more than
     one class left, or one class of more than one subrepresentation, raises
-    HNTieError naming the least tied dimension vector.
+    HNTieError naming the least tied dimension vector.  The key reported
+    for a factor is the first maximal key in the order of subrep_classes.
     """
     factors = []
     current = rep
     zero_total = tuple(0 for _ in rep.quiver.vertices)
-    while current.kclass() != zero_total:
+    key = spec.key
+    while (kclass := current.kclass()) != zero_total:
         classes = subrep_classes(current)
-        keys = {dims: spec.key(dims) for dims in classes if dims != zero_total}
-        best_key = max(keys.values())
-        tied = [dims for dims, k in keys.items() if k == best_key]
+        # one pass: the first maximal key and every class that ties with it
+        best_key, tied = None, []
+        for dims in classes:
+            if dims == zero_total:
+                continue
+            k = key(dims)
+            if best_key is not None:
+                if k < best_key:
+                    continue
+                if k == best_key:
+                    tied.append(dims)
+                    continue
+            best_key, tied = k, [dims]
         top = max(map(sum, tied))
         tied = [dims for dims in tied if sum(dims) == top]
         best_dims = min(tied)
         chosen = classes[best_dims]
         if len(tied) > 1 or chosen.count > 1:
             raise HNTieError(f"non-unique maximal destabilizer at {best_dims}")
-        if best_dims == current.kclass():
+        if best_dims == kclass:
             factors.append((best_dims, best_key))
             break
         sub = subrep_restriction(current, chosen.witness)

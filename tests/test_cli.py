@@ -154,6 +154,41 @@ def test_hn_command_with_relations_and_embedded_type(tmp_path):
     assert "HN filtration over F_25" in proc.stdout
 
 
+# Seeded slope-mode reps (random_rep over F_5, seeds 160 and 5) and the text
+# that `gepnerstab hn` printed for them when slope keys were plain Fractions.
+HN_SLOPE_GOLDEN = [
+    (
+        {"field": "Fp", "p": 5, "type": "(1,1;4)",
+         "dims": {"C(1)": 1, "C(0)": 3, "PsiO(p1)": 3, "PsiO(p2)": 0, "PsiO(p3)": 2, "PsiO(p4)": 0},
+         "mats": {"X1": [[10], [1], [7]], "X2": [[1], [13], [13]],
+                  "pi1": [[8, 16, 11], [4, 14, 9], [14, 9, 9]], "pi2": [],
+                  "pi3": [[19, 23, 21], [5, 6, 0]], "pi4": []}},
+        "HN filtration over F_25 (= F_5^2) [slope order]:\n"
+        "  factor (1, 2, 1, 0, 1, 0)  key 1/2\n"
+        "  factor (0, 1, 1, 0, 1, 0)  key -1/2\n"
+        "  factor (0, 0, 1, 0, 0, 0)  key -1\n",
+    ),
+    (
+        {"field": "Fp", "p": 5, "type": "(3,1;6)",
+         "dims": {"C(1)": 2, "C(0)": 2, "PsiO(p1)": 0, "PsiO(p2)": 3},
+         "mats": {"X2": [[1, 0], [1, 0]], "pi1": [], "pi2": [[2, 3], [1, 3], [4, 0]]}},
+        "HN filtration over F_5 [slope order]:\n"
+        "  factor (1, 0, 0, 0)  key inf\n"
+        "  factor (1, 1, 0, 1)  key 1/2\n"
+        "  factor (0, 1, 0, 1)  key -1/2\n"
+        "  factor (0, 0, 0, 1)  key -1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, expected", HN_SLOPE_GOLDEN, ids=["1,1:4", "3,1:6"])
+def test_hn_slope_keys_print_as_before(tmp_path, capsys, data, expected):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert main(["hn", "--rep", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_stability_c1m1_on_two_step_type():
     proc = run_cli("stability", "--type", "1,1:4", "--object", "C1m1", "--primes", "5,7")
     assert proc.returncode == 0

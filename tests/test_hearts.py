@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -351,6 +352,30 @@ def test_phase_key_matches_exact_cross_sign(t):
             assert (k < kb) == expect_lt, (v, b)
             ties += expect_eq
     assert ties >= 3 * len(classes)  # each class ties with itself and its scaled copies
+
+
+def _eq_by_two_signs(a, b):
+    if a.region != b.region:
+        return False
+    return a.region in (1, 3) or a._row.sign(b.cls, b._norm) == 0
+
+
+def _lt_by_two_signs(a, b):
+    if a.region != b.region:
+        return a.region < b.region
+    return a.region in (0, 2) and a._row.sign(b.cls, b._norm) > 0
+
+
+@pytest.mark.parametrize("t", [WeightedType((1, 1), 3), WeightedType((2, 1), 4), WeightedType((3, 2), 6)], ids=str)
+def test_phase_key_operators_match_their_two_sign_definitions(t):
+    # <= and >= used to be (==) or (<), and > and >= the reflected < and <=;
+    # each operator now reads one cross sign
+    L = lattice_for(t)
+    keys = [phase_key(L, v) for v in product(range(3), repeat=L.rank) if any(v)]
+    for a in keys:
+        for b in keys:
+            eq, lt, gt = _eq_by_two_signs(a, b), _lt_by_two_signs(a, b), _lt_by_two_signs(b, a)
+            assert (a == b, a < b, a <= b, a > b, a >= b) == (eq, lt, eq or lt, gt, _eq_by_two_signs(b, a) or gt)
 
 
 def test_phase_key_total_phases_shift():

@@ -1,6 +1,10 @@
+import dataclasses
 import json
+import math
+import operator
 import random
 import re
+from fractions import Fraction
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -20,7 +24,8 @@ from gepnerstab.gfield import (
     subspaces_of,
     superspaces,
 )
-from gepnerstab.hearts import lattice_for
+from gepnerstab import quiverrep
+from gepnerstab.hearts import lattice_for, slope_mu
 from gepnerstab.mfcore import WeightedType
 from gepnerstab.quiverrep import (
     Arrow,
@@ -28,6 +33,7 @@ from gepnerstab.quiverrep import (
     QuiverRep,
     QuiverWithRelations,
     ResourceLimitError,
+    SlopeKey,
     StabilitySpec,
     all_subreps,
     default_spec,
@@ -649,6 +655,52 @@ def test_subrep_plan_is_built_once_per_quiver():
     assert plan.into["C(0)"] == ("C(1)", ("X1", "X2"))
 
 
+def _cached_case():
+    return random_rep(heart_quiver(T114), 5, random.Random(3), max_dim=2, inner_budget=3, total_budget=8)
+
+
+def test_subrep_classes_are_cached_on_the_rep():
+    rep = _cached_case()
+    assert subrep_classes(rep) is subrep_classes(rep)
+
+
+def _count_searches(monkeypatch) -> list:
+    searched = []
+    search = quiverrep._search_subreps
+    monkeypatch.setattr(quiverrep, "_search_subreps", lambda rep: searched.append(rep) or search(rep))
+    return searched
+
+
+def test_one_search_per_rep(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rep = _cached_case()
+    spec = default_spec(T114)
+    assert len(hn_filtration(rep, spec).factors) > 1  # so its steps search other reps too
+    is_stable(rep, spec)
+    subrep_classes(rep)
+    all_subreps(rep)
+    assert sum(r is rep for r in searched) == 1
+
+
+def test_subrep_classes_are_read_only():
+    classes = subrep_classes(_cached_case())
+    dims = next(iter(classes))
+    with pytest.raises(TypeError):
+        classes[dims] = classes[dims]
+
+
+def test_a_replaced_rep_is_searched_afresh(monkeypatch):
+    searched = _count_searches(monkeypatch)
+    rep = _cached_case()
+    classes = subrep_classes(rep)
+    copy = dataclasses.replace(rep)
+    assert subrep_classes(copy) is not classes
+    assert all_subreps(copy) == all_subreps(rep)
+    zero = dataclasses.replace(rep, mats=_zero_rep(T114, 5, rep.dims).mats)
+    assert all_subreps(zero) != all_subreps(rep)
+    assert searched == [rep, copy, zero]
+
+
 def _zero_rep(t, p, dims):
     q = heart_quiver(t)
     f = field_for(p, q.conductor)
@@ -810,6 +862,27 @@ def test_shortcut_agreement_on_named_objects():
         v = is_stable(red, spec)
         if v.shortcut_agrees is not None:
             assert v.shortcut_agrees
+
+
+@pytest.mark.parametrize("t", [T114, T316], ids=str)
+def test_slope_keys_agree_with_fractions(t):
+    # the classes with entries 0..3; a slope key's comparisons depend on its
+    # value alone, so they are checked on every pair of distinct values
+    lat = lattice_for(t)
+    spec = StabilitySpec(lat, "slope")
+    keys = {}
+    for v in product(range(4), repeat=lat.rank):
+        key, plain = spec.key(v), slope_mu(lat, v)
+        assert type(key) is (SlopeKey if isinstance(plain, Fraction) else float)
+        assert (key == plain, hash(key), str(key)) == (True, hash(plain), str(plain))
+        keys.setdefault(plain, key)
+    assert {math.inf} < set(keys) and len(keys) > 20
+    ops = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+    for a, key_a in keys.items():
+        for b, key_b in keys.items():
+            want = [op(a, b) for op in ops]
+            assert [op(key_a, key_b) for op in ops] == want, (a, b)
+            assert [op(key_a, b) for op in ops] == want, (a, b)
 
 
 # -- Harder-Narasimhan -----------------------------------------------------------

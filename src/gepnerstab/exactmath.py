@@ -712,7 +712,10 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     """Phase of x in (window_start, window_start + 2].
 
     Returns an exact Fraction when x lies on a ray exp(i*pi*q) with
-    2*d*q integral; otherwise a float with certified error < 1e-9.
+    2*d*q integral; otherwise a float with certified error < 1e-9.  A
+    window_start that is not a Fraction is converted to one first; the
+    float window of the second case is numerator / denominator, the
+    correctly rounded quotient, which equals float(window_start).
 
     One loop refines the box B of ``embed`` (64, 128, ... bits) until it
     certifies the angle: with w = B.width() and r the larger distance of
@@ -757,7 +760,9 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     """
     if x.is_zero():
         raise ZeroValueError("phase of zero is undefined")
-    window_start = Fraction(window_start)
+    if type(window_start) is not Fraction:
+        window_start = Fraction(window_start)
+    a, b = window_start.numerator, window_start.denominator
     d = x.d
     prec = 64
     while prec <= _SIGN_PREC_CAP:
@@ -778,12 +783,12 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     k = round(t)
     if abs(t - k) <= tol and _real_on_ray(x, k):
         # k/(2d) + 2j for the j = floor((w + 2 - k/(2d)) / 2) that puts it in (w, w + 2], w = a/b
-        a, b = window_start.numerator, window_start.denominator
         return Fraction(k + 4 * d * ((2 * d * (a + 2 * b) - k * b) // (4 * d * b)), 2 * d)
-    out = phase + 2 * math.ceil((float(window_start) - phase) / 2)
-    if out <= float(window_start):
+    start = a / b  # correctly rounded, so equal to float(window_start)
+    out = phase + 2 * math.ceil((start - phase) / 2)
+    if out <= start:
         out += 2.0
-    if out > float(window_start) + 2:
+    if out > start + 2:
         out -= 2.0
     return out
 

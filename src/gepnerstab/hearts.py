@@ -301,34 +301,48 @@ def verify_gepner(lat: CaseLattice) -> bool:
     return True
 
 
+_CONSTANT_SLOPE = Fraction(-1)  # the slope of every class in the (3,0) and (2,-1) cases
+
+
 def slope_mu(lat: CaseLattice, v):
     """Case slope of a class (caller guarantees v is a heart class).
 
-    Conventions: K3 torsion -> +inf; coherent systems with no section
-    space -> -inf; point weight zero in the (2,-2) case -> +inf.  The
-    (3,-1) slope is the order-preserving rational form (R - 2r) / (2R).
+    Each finite slope is one Fraction of integers computed from v:
+
+        (3,0), (2,-1)  -1
+        (4,0)          H^2 (r + 2c) / (2r) for v = (r, c, s), as
+                       h.numerator (r + 2c) / (2r h.denominator), h = H^2
+        (3,-1)         (R - 2r) / (2R) for v = (R, r, delta), the
+                       order-preserving rational form of the usual slope
+        (2,-2)         (v1 + (1 - cos) v0) / w - 1 for v = (v1, v0, points),
+                       w the sum of the point weights; with cos(2 pi / d) =
+                       a/b this is (v1 b + (b - a) v0 - w b) / (w b)
+
+    Conventions: K3 torsion (r = 0) -> +inf; coherent systems with no
+    section space (R = 0) -> -inf; point weight zero in the (2,-2) case
+    -> +inf.
     """
     case = lat.case
     if case in ((3, 0), (2, -1)):
-        return Fraction(-1)
+        return _CONSTANT_SLOPE
     if case == (4, 0):
-        m = Fraction(lat.geometry.h_square) / 2
-        r, c = Fraction(v[0]), Fraction(v[1])
+        r = v[0]
         if r == 0:
             return math.inf
-        return (m * r + 2 * m * c) / r
+        h = lat.geometry.h_square
+        return Fraction(h.numerator * (r + 2 * v[1]), 2 * r * h.denominator)
     if case == (3, -1):
-        big_r, small_r = Fraction(v[0]), Fraction(v[1])
+        big_r = v[0]
         if big_r == 0:
             return -math.inf
-        return (big_r - 2 * small_r) / (2 * big_r)
+        return Fraction(big_r - 2 * v[1], 2 * big_r)
     # (2, -2)
-    v1, v0 = Fraction(v[0]), Fraction(v[1])
-    w = Fraction(sum(v[2:]))
+    w = sum(v[2:])
     if w == 0:
         return math.inf
-    cos = _exact_cos(lat.wtype.degree)
-    return (v1 + (1 - cos) * v0) / w - 1
+    a, b = _cos_ratio(lat.wtype.degree)
+    wb = w * b
+    return Fraction(v[0] * b + (b - a) * v[1] - wb, wb)
 
 
 def tilt_side(lat: CaseLattice, v, mu_value) -> str:
@@ -337,9 +351,10 @@ def tilt_side(lat: CaseLattice, v, mu_value) -> str:
 
 
 @lru_cache(maxsize=None)
-def _exact_cos(d: int) -> Fraction:
-    val = (cyclo(d, 1) + cyclo(d, -1)) * Fraction(1, 2)
-    return val.as_fraction()
+def _cos_ratio(d: int) -> tuple[int, int]:
+    """(a, b) with cos(2 pi / d) = a/b in lowest terms, b > 0."""
+    cos = ((cyclo(d, 1) + cyclo(d, -1)) * Fraction(1, 2)).as_fraction()
+    return cos.numerator, cos.denominator
 
 
 def im_units(lat: CaseLattice, v) -> Fraction:
@@ -347,15 +362,14 @@ def im_units(lat: CaseLattice, v) -> Fraction:
 
     Only the two tilted n <= 3 cases carry this: (3,-1) counts 2r - R
     (units of sqrt(H^2 d)/4) and (2,-2) counts the negated real part in
-    units of its minimal step.
+    units of its minimal step 1 - cos: (w - v1 - (1 - cos) v0) / (1 - cos),
+    with cos(2 pi / d) = a/b the Fraction ((w - v1) b - (b - a) v0) / (b - a).
     """
     if lat.case == (3, -1):
         return Fraction(2 * v[1] - v[0])
     if lat.case == (2, -2):
-        cos = _exact_cos(lat.wtype.degree)
-        c_min = 1 - cos
-        w = Fraction(sum(v[2:]))
-        return (w - v[0] - (1 - cos) * v[1]) / c_min
+        a, b = _cos_ratio(lat.wtype.degree)
+        return Fraction((sum(v[2:]) - v[0]) * b - (b - a) * v[1], b - a)
     raise UnsupportedCaseError("im_units applies to the (3,-1) and (2,-2) cases")
 
 
@@ -789,8 +803,8 @@ def clifford_predicate(big_r: int, r: int, delta: int, genus: int) -> bool:
 
 def crucial_inequality(big_r: int, delta: int, d: int) -> bool:
     """The strict degree bound delta > R (1 - cos(2 pi / d)), exact."""
-    cos = _exact_cos(d)
-    return Fraction(delta) > Fraction(big_r) * (1 - cos)
+    a, b = _cos_ratio(d)
+    return delta * b > big_r * (b - a)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,6 @@ from itertools import product
 from typing import NamedTuple
 
 from .exactmath import CycloNum, ResourceLimitError
-from .extcalc import ext_cc, ext_cm, ext_cm_closed_form, yoneda_relations
 from .gfield import (
     GF,
     BadReductionError,
@@ -960,13 +959,17 @@ def quotient_rep(rep: QuiverRep, witness: dict) -> QuiverRep:
 # ---------------------------------------------------------------------------
 
 
+_INFINITIES = (math.inf, -math.inf)
+
+
 class SlopeKey(Fraction):
     """A finite slope as a stability key: a Fraction, compared faster.
 
     Against another SlopeKey the comparisons cross-multiply the integer
-    numerators and denominators (denominators are positive); against
-    anything else, such as the infinite slopes, they are Fraction's.  The
-    value, hash and str are the Fraction's.
+    numerators and denominators (denominators are positive); against the
+    float +-inf of an infinite slope the orderings answer from its sign;
+    against anything else they are Fraction's.  The value, hash and str
+    are the Fraction's.
     """
 
     __slots__ = ()
@@ -981,21 +984,29 @@ class SlopeKey(Fraction):
     def __lt__(a, b):
         if type(b) is SlopeKey:
             return a._numerator * b._denominator < b._numerator * a._denominator
+        if type(b) is float and b in _INFINITIES:
+            return b > 0
         return Fraction.__lt__(a, b)
 
     def __le__(a, b):
         if type(b) is SlopeKey:
             return a._numerator * b._denominator <= b._numerator * a._denominator
+        if type(b) is float and b in _INFINITIES:
+            return b > 0
         return Fraction.__le__(a, b)
 
     def __gt__(a, b):
         if type(b) is SlopeKey:
             return a._numerator * b._denominator > b._numerator * a._denominator
+        if type(b) is float and b in _INFINITIES:
+            return b < 0
         return Fraction.__gt__(a, b)
 
     def __ge__(a, b):
         if type(b) is SlopeKey:
             return a._numerator * b._denominator >= b._numerator * a._denominator
+        if type(b) is float and b in _INFINITIES:
+            return b < 0
         return Fraction.__ge__(a, b)
 
 
@@ -1022,7 +1033,7 @@ class StabilitySpec:
                 cache[cls] = phase_key(self.lattice, cls)
             else:
                 mu = slope_mu(self.lattice, cls)
-                cache[cls] = SlopeKey(mu) if isinstance(mu, Fraction) else mu
+                cache[cls] = SlopeKey(mu.numerator, mu.denominator) if type(mu) is Fraction else mu
         return cache[cls]
 
 
@@ -1169,6 +1180,8 @@ def hn_filtration(rep: QuiverRep, spec: StabilitySpec) -> HNResult:
 
 def ext_quiver_consistency(wtype: WeightedType) -> bool:
     """Arrow and relation data must equal the computed Ext dimensions."""
+    from .extcalc import ext_cc, ext_cm, ext_cm_closed_form, yoneda_relations
+
     q = heart_quiver(wtype)
     lat = lattice_for(wtype)
     pts = lat.points

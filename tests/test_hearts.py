@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -214,6 +215,78 @@ def test_c2m1_slope_positive_d4():
     c2m1 = tuple(-x for x in L.class_of_c(2))
     assert slope_mu(L, c2m1) == Fraction(1, 4)
     assert tilt_side(L, c2m1, Fraction(1, 4)) == "torsion"
+
+
+def _cos(lat):
+    return (cyclo(lat.wtype.degree, 1) + cyclo(lat.wtype.degree, -1)).as_fraction() / 2
+
+
+def _slope_oracle(lat, v):
+    # the case slopes in Fraction arithmetic, term by term
+    cos = _cos(lat)
+    if lat.case in ((3, 0), (2, -1)):
+        return Fraction(-1)
+    if lat.case == (4, 0):
+        m = Fraction(lat.geometry.h_square) / 2
+        r, c = Fraction(v[0]), Fraction(v[1])
+        return math.inf if r == 0 else (m * r + 2 * m * c) / r
+    if lat.case == (3, -1):
+        big_r, small_r = Fraction(v[0]), Fraction(v[1])
+        return -math.inf if big_r == 0 else (big_r - 2 * small_r) / (2 * big_r)
+    v1, v0, w = Fraction(v[0]), Fraction(v[1]), Fraction(sum(v[2:]))
+    return math.inf if w == 0 else (v1 + (1 - cos) * v0) / w - 1
+
+
+def _im_units_oracle(lat, v):
+    cos = _cos(lat)
+    if lat.case == (3, -1):
+        return Fraction(2 * v[1] - v[0])
+    w = Fraction(sum(v[2:]))
+    return (w - v[0] - (1 - cos) * v[1]) / (1 - cos)
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_slopes_and_im_units_match_fraction_oracle(t):
+    L = lattice_for(t)
+    rng = random.Random(f"slope-oracle:{t}")
+    vs = [tuple(rng.randint(-1000, 1000) for _ in range(L.rank)) for _ in range(200)]
+    infinite = 0
+    for v in vs + list(product(range(-2, 3), repeat=L.rank)):
+        got, want = slope_mu(L, v), _slope_oracle(L, v)
+        assert (type(got), got) == (type(want), want), v
+        infinite += isinstance(got, float)
+        if L.case in ((3, -1), (2, -2)):
+            got, want = im_units(L, v), _im_units_oracle(L, v)
+            assert (type(got), got) == (type(want), want), v
+    if L.case in ((4, 0), (3, -1), (2, -2)):
+        assert infinite > 0
+    if L.case not in ((3, -1), (2, -2)):
+        with pytest.raises(UnsupportedCaseError):
+            im_units(L, (1,) * L.rank)
+
+
+@pytest.mark.parametrize("t", ALL_TYPES, ids=str)
+def test_phase_of_window_forms_agree(t):
+    # a window start given as an int, a float, a Fraction or lat.theta gives
+    # the same phase and the same type (exact ray or float)
+    L = lattice_for(t)
+    theta = L.theta
+    windows = [(-1, Fraction(-1)), (0, Fraction(0)), (theta, Fraction(theta.numerator, theta.denominator))]
+    windows += [(float(w), w) for w in (Fraction(-1, 2), theta) if float(w) == w]
+    rng = random.Random(f"phase-windows:{t}")
+    vs = [tuple(rng.randint(-1000, 1000) for _ in range(L.rank)) for _ in range(40)]
+    vs += [tuple(1 if i == j else 0 for i in range(L.rank)) for j in range(L.rank)]
+    kinds = set()
+    for v in vs:
+        z = zg_class_absolute(L, v)
+        if z.is_zero():
+            continue
+        for given, plain in windows:
+            got, want = phase_of(z, given), phase_of(z, plain)
+            assert (type(got), got) == (type(want), want), (v, given)
+            assert plain < got <= plain + 2
+            kinds.add(type(got))
+    assert kinds == {Fraction, float}
 
 
 def test_tilt_side():

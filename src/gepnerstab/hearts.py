@@ -802,9 +802,9 @@ def clifford_predicate(big_r: int, r: int, delta: int, genus: int) -> bool:
 
 
 def crucial_inequality(big_r: int, delta: int, d: int) -> bool:
-    """The strict degree bound delta > R (1 - cos(2 pi / d)), exact."""
-    a, b = _cos_ratio(d)
-    return delta * b > big_r * (b - a)
+    """The strict degree bound delta > R (1 - cos(2 pi / d)), decided exactly in Q(zeta_d)."""
+    cos = (cyclo(d, 1) + cyclo(d, -1)) * Fraction(1, 2)
+    return sign_real(delta - big_r * (1 - cos)) > 0
 
 
 @lru_cache(maxsize=None)

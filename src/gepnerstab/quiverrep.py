@@ -23,7 +23,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import product
 from typing import NamedTuple
 
@@ -108,6 +108,11 @@ class QuiverWithRelations:
         """
         return {}
 
+    @cached_property
+    def _expansions(self) -> dict:
+        """(q, sink dims, inner dims, sink bound dims) -> _expansion of that signature, built on first use."""
+        return {}
+
 
 def heart_quiver(wtype: WeightedType) -> QuiverWithRelations:
     """The star ((2,-1)) or two-step ((2,-2)) presentation of the heart."""
@@ -167,6 +172,10 @@ class QuiverRep:
     mats: dict
 
     def dim_vector(self) -> tuple[int, ...]:
+        return self._dim_vector
+
+    @cached_property
+    def _dim_vector(self) -> tuple[int, ...]:
         return tuple(self.dims.get(v, 0) for v in self.quiver.vertices)
 
     def total_dim(self) -> int:
@@ -527,16 +536,45 @@ def _check_guard(rep: QuiverRep):
     """
     if rep.field is EXACT:
         raise ResourceLimitError("subrepresentation search runs over finite fields")
-    if rep.total_dim() > MAX_TOTAL_DIM:
-        raise ResourceLimitError(f"total dimension {rep.total_dim()} exceeds {MAX_TOTAL_DIM}")
+    total = rep.total_dim()
+    if total > MAX_TOTAL_DIM:
+        raise ResourceLimitError(f"total dimension {total} exceeds {MAX_TOTAL_DIM}")
     q = rep.field.q
     for v in rep.quiver.subrep_plan.order:
-        n = rep.dims.get(v, 0)
-        count = sum(gaussian_binomial(n, d, q) for d in range(n + 1))
+        count = _subspace_count(rep.dims.get(v, 0), q)
         if count > MAX_SUBSPACES:
             raise ResourceLimitError(
                 f"{v} has {count} subspaces over {rep.field.label()}; the search enumerates at most {MAX_SUBSPACES}"
             )
+
+
+@lru_cache(maxsize=None)
+def _subspace_count(n: int, q: int) -> int:
+    """The number of subspaces of F_q^n."""
+    return sum(gaussian_binomial(n, d, q) for d in range(n + 1))
+
+
+def _expansion(quiver: QuiverWithRelations, q: int, sink_dims, inner_dims, los) -> tuple:
+    """The dimension vectors of a signature, the last sink varying fastest, and their sink choices.
+
+    A sink of dimension n with a bound of dimension lo has
+    gaussian_binomial(n - lo, m - lo, q) subspaces of each dimension m >= lo
+    containing the bound.  The vectors are interned in quiver._intern.  Two
+    parallel tuples keep the table smaller than one of pairs.
+    """
+    order, sinks, _ = quiver.subrep_plan
+    inner_at = dict(zip(order, inner_dims))
+    sink_at = dict(zip(sinks, zip(sink_dims, los)))
+    rows = [((), 1)]
+    for v in quiver.vertices:
+        if v in inner_at:
+            m = (inner_at[v],)
+            rows = [(key + m, count) for key, count in rows]
+        else:
+            n, lo = sink_at[v]
+            rows = [(key + (m,), count * gaussian_binomial(n - lo, m - lo, q)) for key, count in rows for m in range(lo, n + 1)]
+    pool = quiver._intern
+    return tuple(pool.setdefault(key, key) for key, _ in rows), tuple(count for _, count in rows)
 
 
 def _place(row, cols, n: int) -> list[int]:
@@ -681,10 +719,13 @@ def subrep_classes(rep: QuiverRep) -> SubrepClasses:
     - lo, m - lo, q) subspaces of each dimension m >= lo.  So each inner
     choice reduces to a signature (inner dimensions, sink bound
     dimensions); choices are counted per signature, and each signature's
-    sink product is expanded once, after the search.  The result keeps the
-    order in which a walk choice by choice, the last sink varying fastest,
-    would first meet each dimension vector.  Witnesses are lazy (see
-    SubrepClass).  _check_guard bounds the work over any field: the total
+    sink product is expanded once, after the search, from a table that the
+    quiver keeps per field and sink dimensions (_expansion), so later
+    searches reuse it.  hn_filtration does not search the last quotient of
+    a filtration when the classes already searched decide it.  The result
+    keeps the order in which a walk choice by choice, the last sink varying
+    fastest, would first meet each dimension vector.  Witnesses are lazy
+    (see SubrepClass).  _check_guard bounds the work over any field: the total
     dimension and the subspaces at each inner vertex.
 
     The search counts subspace choices per dimension instead of walking
@@ -864,32 +905,20 @@ def _search_subreps(rep: QuiverRep) -> SubrepClasses:
             else:
                 group[0] += times * leaves
 
-    vertices = rep.quiver.vertices
-    inner_at = {v: i for i, v in enumerate(order)}
-    sink_at = {s: i for i, s in enumerate(sinks)}
-    # per sink: bound dimension lo -> (m, subspaces of dimension m containing a bound of dimension lo)
-    above = {}
-    for s in sinks:
-        n = dims.get(s, 0)
-        above[s] = [[(m, gaussian_binomial(n - lo, m - lo, f.q)) for m in range(lo, n + 1)] for lo in range(n + 1)]
-    pool = rep.quiver._intern
+    pool, tables = rep.quiver._intern, rep.quiver._expansions
+    sink_dims = tuple(dims.get(s, 0) for s in sinks)
     counts: dict[tuple[int, ...], int] = {}
     by_inner: dict = {}
     for (inner_dims, los), (leaves, (prefix, lower, ubar)) in groups.items():
         inner_dims, los = pool.setdefault(inner_dims, inner_dims), pool.setdefault(los, los)
         by_inner.setdefault(inner_dims, []).append((los, prefix, lower, ubar))
-        # every dimension vector of the group with its count, the last sink varying fastest
-        rows = [((), leaves)]
-        for v in vertices:
-            if v in inner_at:
-                m = (inner_dims[inner_at[v]],)
-                rows = [(key + m, count) for key, count in rows]
-            else:
-                table = above[v][los[sink_at[v]]]
-                rows = [(key + (m,), count * c) for key, count in rows for m, c in table]
-        for key, count in rows:
-            counts[key] = counts.get(key, 0) + count
-    counts = {pool.setdefault(key, key): pool.setdefault(count, count) for key, count in counts.items()}
+        table_key = (f.q, sink_dims, inner_dims, los)
+        table = tables.get(table_key)
+        if table is None:
+            table = tables[table_key] = _expansion(rep.quiver, f.q, sink_dims, inner_dims, los)
+        for key, count in zip(*table):
+            counts[key] = counts.get(key, 0) + leaves * count
+    counts = {key: pool.setdefault(count, count) for key, count in counts.items()}
     return SubrepClasses(counts, by_inner, rep)
 
 
@@ -1027,14 +1056,15 @@ class StabilitySpec:
             raise ValueError("mode must be 'phase' or 'slope'")
 
     def key(self, cls):
-        cache = self._key_cache
-        if cls not in cache:
+        k = self._key_cache.get(cls)
+        if k is None:
             if self.mode == "phase":
-                cache[cls] = phase_key(self.lattice, cls)
+                k = phase_key(self.lattice, cls)
             else:
                 mu = slope_mu(self.lattice, cls)
-                cache[cls] = SlopeKey(mu.numerator, mu.denominator) if type(mu) is Fraction else mu
-        return cache[cls]
+                k = SlopeKey(mu.numerator, mu.denominator) if type(mu) is Fraction else mu
+            self._key_cache[cls] = k
+        return k
 
 
 def default_spec(wtype: WeightedType) -> StabilitySpec:
@@ -1112,6 +1142,24 @@ def _imaginary_shortcut(rep, spec, classes, key_e, status):
     return agrees
 
 
+def _last_factor(classes, kclass, dims, key):
+    """(class, key) of the quotient by a subrep of class dims when it is the last HN factor, else None.
+
+    See hn_filtration.
+    """
+    rest = tuple(map(operator.sub, kclass, dims))
+    try:
+        rest_key = key(rest)
+        for t in classes:
+            if t == dims or t == kclass or not all(map(operator.ge, t, dims)):
+                continue
+            if key(tuple(map(operator.sub, t, dims))) > rest_key:
+                return None
+    except ArithmeticError:
+        return None
+    return rest, rest_key
+
+
 @dataclass
 class HNResult:
     factors: list  # list of (dimvec, key)
@@ -1126,7 +1174,22 @@ def hn_filtration(rep: QuiverRep, spec: StabilitySpec) -> HNResult:
     of maximal total dimension.  That destabilizer is unique, so more than
     one class left, or one class of more than one subrepresentation, raises
     HNTieError naming the least tied dimension vector.  The key reported
-    for a factor is the first maximal key in the order of subrep_classes.
+    for a factor compares equal to the key of its class.
+
+    The quotient left by a step is the last factor, and is not searched,
+    when the classes already searched say so.  Let sub, of class D, be
+    extracted from current, of class E.  If no class T of current with
+    T >= D componentwise and T not in {D, E} has key(T - D) > key(E - D),
+    the last factor is (E - D, key(E - D)).  Proof: every proper nonzero
+    subrep of current/sub is T/sub for a subrep T of current strictly
+    between sub and current, so its class T - D comes from such a T.  None
+    of them has a larger key, so the quotient's own step would pick the
+    quotient itself: it has the maximal key, it is the only class of
+    maximal total dimension, and it counts one subrep.  That step ends the
+    filtration with the same factor and raises no HNTieError.  The proof
+    uses no property of the keys, so the rule holds for any spec.  A key
+    that raises ArithmeticError leaves the step undecided: T - D need not
+    be a class of the quotient, so the quotient is built and searched.
     """
     factors = []
     current = rep
@@ -1162,6 +1225,10 @@ def hn_filtration(rep: QuiverRep, spec: StabilitySpec) -> HNResult:
         if sub_verdict.status == "unstable":
             raise HNTieError("extracted factor is not semistable")
         factors.append((best_dims, best_key))
+        rest = _last_factor(classes, kclass, best_dims, key)
+        if rest is not None:
+            factors.append(rest)
+            break
         current = quotient_rep(current, chosen.witness)
     # strictly decreasing keys and telescoping classes
     for (d1, k1), (d2, k2) in zip(factors, factors[1:]):

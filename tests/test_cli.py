@@ -189,6 +189,37 @@ def test_hn_slope_keys_print_as_before(tmp_path, capsys, data, expected):
     assert capsys.readouterr().out == expected
 
 
+# Seeded phase-mode reps (random_rep on (1,1;3) over F_5, seeds 1 and 13) and the
+# text that `gepnerstab hn` printed for them when every quotient was searched.
+HN_PHASE_GOLDEN = [
+    (
+        {"field": "Fp", "p": 5, "type": "(1,1;3)",
+         "dims": {"C(0)": 1, "PsiO(p1)": 0, "PsiO(p2)": 2, "PsiO(p3)": 0},
+         "mats": {"pi1": [], "pi2": [[15], [24]], "pi3": []}},
+        "HN filtration over F_25 (= F_5^2) [phase order]:\n"
+        "  factor (1, 0, 1, 0)  key phase~0.8333\n"
+        "  factor (0, 0, 1, 0)  key phase~0.1667\n",
+    ),
+    (
+        {"field": "Fp", "p": 5, "type": "(1,1;3)",
+         "dims": {"C(0)": 2, "PsiO(p1)": 2, "PsiO(p2)": 1, "PsiO(p3)": 1},
+         "mats": {"pi1": [[21, 4], [7, 20]], "pi2": [[23, 5]], "pi3": [[4, 2]]}},
+        "HN filtration over F_25 (= F_5^2) [phase order]:\n"
+        "  factor (1, 0, 0, 1)  key phase~0.8333\n"
+        "  factor (1, 1, 1, 0)  key phase~0.5000\n"
+        "  factor (0, 1, 0, 0)  key phase~0.1667\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, expected", HN_PHASE_GOLDEN, ids=["two-factors", "three-factors"])
+def test_hn_phase_keys_print_as_before(tmp_path, capsys, data, expected):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert main(["hn", "--rep", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_stability_c1m1_on_two_step_type():
     proc = run_cli("stability", "--type", "1,1:4", "--object", "C1m1", "--primes", "5,7")
     assert proc.returncode == 0

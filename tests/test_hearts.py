@@ -534,8 +534,21 @@ def test_clifford_and_crucial():
     assert not crucial_inequality(2, 2, 4)  # 2 > 2 fails
     assert crucial_inequality(2, 3, 4)
     assert not crucial_inequality(2, 1, 6)  # 1 > 1 fails
+    assert not crucial_inequality(2, 3, 3)  # 3 > 3 fails
     with pytest.raises(ValueError):
         clifford_predicate(2, 1, 12, genus=3)  # outside window
+
+
+@pytest.mark.parametrize("d", [5, 7, 8, 12])
+def test_crucial_inequality_with_irrational_cosine(d):
+    # cos(2 pi / d) is irrational here, so delta - R (1 - cos) is never 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        step = 1 - mpmath.cos(2 * mpmath.pi / d)
+        for big_r, delta in product(range(1, 9), range(0, 9)):
+            value = delta - big_r * step
+            assert abs(value) > mpmath.mpf(10) ** -6
+            assert crucial_inequality(big_r, delta, d) == (value > 0), (big_r, delta)
 
 
 def test_unsupported_cases():

@@ -618,17 +618,30 @@ ORDER_CASES = {
     "chain-F4": lambda: _chain_case(2, 2, (2, 3, 2, 1), 2),
     # B's bound span(e0) maps to a line of C = F_5^2, B itself onto C: growth 1 above a nonzero bound
     "chain-F5-growth-1": lambda: _chain_case(5, 1, (1, 3, 2, 1), 3, a1=((1,), (0,), (0,)), a2=((0,), (0,), (0,)), b=((1, 0, 3), (0, 1, 0))),
+    # one quiver: the second rep has the first's signatures and reads their cached expansion tables
+    "114-F25-same-shape": lambda: _on_one_quiver(T114, (5, 5), (2, 3, 1, 1, 1, 2), seeds=(2, 3)),
+    # one quiver, the same signatures over F_5 and F_7: the tables must not be shared across fields
+    "326-F5-then-F7": lambda: _on_one_quiver(T326, (5, 7), (3, 2), seeds=(4, 4)),
 }
+
+
+def _on_one_quiver(t, primes, dims, seeds):
+    q = heart_quiver(t)
+    return tuple(random_rep(q, p, _Dims(seed, dims), max_dim=5, inner_budget=12, total_budget=12) for p, seed in zip(primes, seeds))
 
 
 @pytest.mark.parametrize("name", ORDER_CASES)
 def test_subrep_classes_match_the_choice_by_choice_walk(name):
-    """Class order, counts and witnesses equal those of a walk one choice at a time."""
-    rep = ORDER_CASES[name]()
-    assert rep.validate()
-    walked = _walk_subreps(rep)
-    classes = subrep_classes(rep)
-    assert [(dims, cls.count, cls.witness) for dims, cls in classes.items()] == [(d, n, w) for d, (n, w) in walked.items()]
+    """Class order, counts and witnesses equal those of a walk one choice at a time.
+
+    A case of several reps searches them in turn.
+    """
+    case = ORDER_CASES[name]()
+    for rep in case if isinstance(case, tuple) else (case,):
+        assert rep.validate()
+        walked = _walk_subreps(rep)
+        classes = subrep_classes(rep)
+        assert [(dims, cls.count, cls.witness) for dims, cls in classes.items()] == [(d, n, w) for d, (n, w) in walked.items()]
 
 
 @pytest.mark.parametrize(
@@ -922,6 +935,94 @@ def test_hn_refuses_a_tied_destabilizer(dims, tied):
     spec = SimpleNamespace(key=lambda d: -sum(d), mode="slope")
     with pytest.raises(HNTieError, match=re.escape(f"non-unique maximal destabilizer at {tied}") + "$"):
         hn_filtration(_zero_rep(T113, 5, dims), spec)
+
+
+def _searched_hn(rep, spec) -> list:
+    """The HN factors of rep, its last quotient built and searched like every other one."""
+    factors = []
+    current = rep
+    zero = (0,) * len(rep.quiver.vertices)
+    while (kclass := current.kclass()) != zero:
+        classes = subrep_classes(current)
+        keys = {dims: spec.key(dims) for dims in classes if dims != zero}
+        best = max(keys.values())
+        tied = [dims for dims, k in keys.items() if k == best]
+        top = max(map(sum, tied))
+        tied = [dims for dims in tied if sum(dims) == top]
+        best_dims = min(tied)
+        chosen = classes[best_dims]
+        if len(tied) > 1 or chosen.count > 1:
+            raise HNTieError(f"non-unique maximal destabilizer at {best_dims}")
+        factors.append((best_dims, best))
+        if best_dims == kclass:
+            break
+        if is_stable(subrep_restriction(current, chosen.witness), spec).status == "unstable":
+            raise HNTieError("extracted factor is not semistable")
+        current = quotient_rep(current, chosen.witness)
+    if any(not k2 < k1 for (_, k1), (_, k2) in zip(factors, factors[1:])):
+        raise HNTieError("phases along the filtration are not strictly decreasing")
+    return factors
+
+
+def _outcome(hn, rep, spec):
+    try:
+        return hn(rep, spec)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("t", N2_TYPES, ids=str)
+def test_hn_matches_searching_every_quotient(t):
+    """Factors, keys and errors equal those of a filtration that searches its last quotient too.
+
+    Phase order on the (2,-2) quivers meets zero charges, slope order on
+    the others infinite slopes, and the key preferring small subreps ties.
+    At p = 5, (1,1;3) and (1,1;4) run over F_25.
+    """
+    q = heart_quiver(t)
+    lat = lattice_for(t)
+    specs = [StabilitySpec(lat, "phase"), StabilitySpec(lat, "slope"), SimpleNamespace(key=lambda d: -sum(d), mode="slope", lattice=lat)]
+    for p in (5, 7):
+        rng = random.Random(f"{t}:{p}")
+        for _ in range(20):
+            rep = random_rep(q, p, rng)
+            for spec in specs:
+                got = _outcome(lambda r, s: hn_filtration(r, s).factors, rep, spec)
+                assert got == _outcome(_searched_hn, rep, spec)
+
+
+def test_hn_searches_the_last_quotient_when_a_key_is_undefined():
+    """A key that raises on some T - D leaves the last step to the quotient's own search.
+
+    Here T - D is a class of neither the rep, its first factor nor the
+    quotient: C(1) cannot be a subrep without C(0), which X1 and X2 reach.
+    """
+    rep = random_rep(heart_quiver(T114), 5, random.Random(1028), max_dim=2)
+    first, bad = (0, 1, 0, 1, 1, 0), (1, 0, 1, 0, 0, 0)
+    assert (1, 1, 1, 1, 1, 0) in subrep_classes(rep)
+
+    def key(dims):
+        if dims == bad:
+            raise ZeroDivisionError("no key")
+        return 2 if dims == first else 1
+
+    spec = SimpleNamespace(key=key, mode="slope", lattice=SimpleNamespace(case=None))
+    factors = hn_filtration(rep, spec).factors
+    assert factors == [(first, 2), ((1, 1, 1, 1, 0, 0), 1)]
+    assert factors == _searched_hn(rep, spec)
+
+
+@pytest.mark.parametrize("seed, factors, searches", [(1, 2, 2), (13, 3, 4)], ids=["two-factors", "three-factors"])
+def test_hn_does_not_search_its_last_quotient(monkeypatch, seed, factors, searches):
+    """The rep and each extracted factor are searched, and every quotient but the last."""
+    searched = _count_searches(monkeypatch)
+    rep = random_rep(heart_quiver(T113), 5, random.Random(seed))
+    res = hn_filtration(rep, default_spec(T113))
+    assert len(res.factors) == factors
+    total, first = rep.kclass(), res.factors[0][0]
+    expected = [total, first, tuple(a - b for a, b in zip(total, first)), res.factors[1][0]][:searches]
+    assert [r.kclass() for r in searched] == expected
+    assert searched[0] is rep
 
 
 @pytest.mark.parametrize("t", N2_TYPES, ids=str)

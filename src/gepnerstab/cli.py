@@ -396,7 +396,7 @@ def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
 
 
 def cmd_hn(args) -> int:
-    from .hearts import lattice_for
+    from .hearts import ZeroChargeError, lattice_for
     from .quiverrep import StabilitySpec, default_spec, heart_quiver, hn_filtration
 
     try:
@@ -427,7 +427,11 @@ def cmd_hn(args) -> int:
         return 1
     lat = lattice_for(wtype)
     spec = StabilitySpec(lat, args.mode) if args.mode else default_spec(wtype)
-    res = hn_filtration(rep, spec)
+    try:
+        res = hn_filtration(rep, spec)
+    except ZeroChargeError as exc:
+        print(f"error: {exc}; phase order is undefined on {wtype}, use --mode slope", file=sys.stderr)
+        return 2
     lines = [f"HN filtration over {res.field_label} [{res.mode} order]:"]
     for dims, key in res.factors:
         shown = key if not hasattr(key, "approx") else f"phase~{key.approx():.4f}"

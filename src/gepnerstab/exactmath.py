@@ -25,8 +25,14 @@ Conventions used throughout the package:
   certified end to end.
 * ``phase_of`` certifies the angle of one box, and runs the exact ray
   test, on integers in Q(zeta_d), only for the one ray within the
-  certified error of it; the proof that this finds exactly x's ray is in
-  its docstring.
+  certified error of it.  The box comes first from floats: when x's
+  numerators a_m have sum |a_m| < 2^50, one float dot product with the
+  zeta_d^m as floats (each within 2^-52) has error at most
+  2 sum |a_m| (2^-52 + gamma_n), gamma_n = n u / (1 - n u) (Higham,
+  Accuracy and Stability of Numerical Algorithms, Thm. 3.1).  Values this
+  box cannot certify go to the integer boxes of ``embed`` at 64, 128, ...
+  bits.  The proof that either box finds exactly x's ray is in its
+  docstring.
 * The package's one row reduction, ``_rref``, is at the end of this
   module, with ``rank``, ``kernel`` and ``solve`` on top of it.  They run
   over any field object that supplies zero, one, reciprocal, negate and
@@ -41,6 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 RationalPhase = Fraction
 
@@ -708,6 +715,66 @@ def _real_on_ray(x: CycloNum, k: int) -> bool:
     return tuple(out) == nums
 
 
+_FLOAT_STAGE_LIMIT = 2**50  # phase_of tries floats first when sum |x.num[m]| is below this
+
+
+@lru_cache(maxsize=None)
+def _float_trig(d: int) -> tuple[tuple[complex, ...], float]:
+    """(roots, unit): zeta_d^m for m < phi(d) as complex floats, and the float stage's error unit.
+
+    C / 2^w from ``_trig_fixed`` at 64 bits is within 2^-65 of cos 2 pi m/d,
+    and the correctly rounded quotient adds at most 2^-53 (1 + 2^-65), so
+    each real part is within 2^-52 of its value; likewise the imaginary
+    parts.  unit = 2 (2^-52 + gamma_n), with n = phi(d), u = 2^-53 and
+    gamma_n = n u / (1 - n u), bounds the float stage's error per unit of
+    sum |a_m| (see phase_of).
+    """
+    roots = []
+    for m in range(euler_phi(d)):
+        c, s, _, w = _trig_fixed(m, d, 64)
+        roots.append(complex(c / (1 << w), s / (1 << w)))
+    n = len(roots)
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    return tuple(roots), 2 * (2.0**-52 + gamma)
+
+
+def _float_centre(x: CycloNum):
+    """(re, im, tol) for phase_of from one float dot product, or None when it certifies no angle."""
+    nums = x.num
+    size = sum(map(abs, nums))
+    if size >= _FLOAT_STAGE_LIMIT:
+        return None
+    roots, unit = _float_trig(x.d)
+    z = sum(map(mul, nums, roots))  # int a times complex c + is is fl(a c) + i fl(a s)
+    re, im = z.real, z.imag
+    err = unit * size
+    r = max(abs(re), abs(im)) - err
+    if r > 0 and err * 2e10 < r:  # w / r < 1e-10, as w = 2 err
+        tol = 2 * x.d * (2 * err / r + 2.0**-46)
+        if tol < 0.5:
+            return re, im, tol
+    return None
+
+
+def _box_centre(x: CycloNum):
+    """(re, im, tol) for phase_of from the integer boxes of ``embed`` at 64, 128, ... bits."""
+    prec = 64
+    while prec <= _SIGN_PREC_CAP:
+        re, im, err, den = _embed_fixed(x, prec)
+        r = max(abs(re), abs(im)) - err  # den * r when positive
+        if r > 0 and 2 * err * 10**10 < r:  # w / r < 1e-10, as w = 2 err / den
+            tol = 2 * x.d * (2 * err / r + 2.0**-46)
+            if tol < 0.5:
+                break
+        prec *= 2
+    else:
+        raise ArithmeticError("phase refinement did not converge")
+    shift = max(abs(re), abs(im)).bit_length() - den.bit_length()
+    if not -1000 < shift < 1000:
+        re, im, den = (re, im, den << shift) if shift > 0 else (re << -shift, im << -shift, den)
+    return re / den, im / den, tol
+
+
 def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     """Phase of x in (window_start, window_start + 2].
 
@@ -717,25 +784,51 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     float window of the second case is numerator / denominator, the
     correctly rounded quotient, which equals float(window_start).
 
-    One loop refines the box B of ``embed`` (64, 128, ... bits) until it
-    certifies the angle: with w = B.width() and r the larger distance of
-    its real and imaginary intervals from 0, a lower bound of |x|, r > 0,
-    w / r < 1e-10 and tol = 2d (w/r + 2^-46) < 1/2 (in floats).  From that
-    box, p = atan2(mid) / pi for the float midpoint mid and t = 2d p; when
-    the larger coordinate of the centre lies outside about [2^-1000, 2^1000],
-    both are first scaled by one power of two, which changes no angle.  Only k = round(t), and only when
-    |t - k| <= tol, gets the exact ray test (x zeta_4d^-k real, tested by
-    ``_real_on_ray`` in Q(zeta_d)); otherwise the result is p from the same
-    box.
+    Two stages look for a box B, certified to contain a positive multiple
+    of x, that certifies the angle: with w its width, m its exact centre
+    and r = max(|Re m|, |Im m|) - w/2, a lower bound of |m| (the larger
+    distance of its real and imaginary intervals from 0), r > 0,
+    w / r < 1e-10 and tol = 2d (w/r + 2^-46) < 1/2 (in floats).  Each
+    stage also gives a float point mid near m.
 
-    No ray is missed, and a passing k is x's ray.  Let z be the value of x,
-    m the exact centre of B and u = 2^-53, with all angles in units of pi:
+    1. Floats (``_float_centre``), when A = sum |a_m| < 2^50 for the
+       numerators a_m = x.num[m].  x has the phase of x.den x =
+       sum a_m zeta_d^m, whose real part is S = sum a_m cos(2 pi m/d).
+       ``_float_trig`` gives zeta_d^m as complex floats c_m + i s_m with
+       |c_m - cos(2 pi m/d)| <= 2^-52, and likewise s_m.  Each a_m
+       converts to a float exactly, and an int times a complex float
+       rounds each part once, so re = Re fl(sum a_m (c_m + i s_m)) is the
+       float dot product fl(sum a_m c_m), and im likewise.  Then
+       |re - S| <= 2^-52 A + gamma_n (1 + 2^-52) A with n = phi(d) terms:
+       a float dot product has error at most gamma_n times the sum of its
+       |terms| (Higham, "Accuracy and Stability of Numerical Algorithms",
+       Thm. 3.1, for recursive summation; a compensated sum(), as newer
+       Pythons use, has error at most 3u + O(n u^2) per unit, products
+       included, which is within 2 gamma_n for n >= 2, and a sum of one
+       term is exact).  So e = 2 A (2^-52 + gamma_n) bounds it, the
+       factor 2 absorbing the second terms above and the few roundings
+       made in computing e, r and tol, and likewise for im.  B is
+       [re -+ e] x [im -+ e]: w = 2e, m = mid = (re, im), no rounding.
+       If B does not certify the angle the stage returns None.
+    2. Integer boxes (``_box_centre``).  One loop refines the box of
+       ``embed`` (64, 128, ... bits; den times it in integers) until it
+       certifies the angle; mid is m correctly rounded coordinate by
+       coordinate.  When the larger coordinate of m lies outside about
+       [2^-1000, 2^1000], both are first scaled by one power of two,
+       which changes no angle.
+
+    From mid, p = atan2(mid) / pi and t = 2d p.  Only k = round(t), and
+    only when |t - k| <= tol, gets the exact ray test (x zeta_4d^-k real,
+    tested by ``_real_on_ray`` in Q(zeta_d)); otherwise the result is p.
+
+    No ray is missed, and a passing k is x's ray.  Let z be the value in B,
+    u = 2^-53, and all angles in units of pi:
 
     * |z - m| <= w / sqrt(2) and |m| >= r, so z lies in the disc of radius
       (w / (sqrt(2) r)) |m| < |m| about m, and z and m are at most
       arcsin(w / (sqrt(2) r)) / pi <= w / (2 sqrt(2) r) apart.
-    * Each coordinate of mid is correctly rounded, within u of itself or,
-      if subnormal, within 2^-1075 <= u max(|Re m|, |Im m|), so
+    * Each coordinate of mid is m's, or correctly rounded, within u of
+      itself or, if subnormal, within 2^-1075 <= u max(|Re m|, |Im m|), so
       |mid - m| <= u |m| and mid and m are at most u/2 apart.
     * atan2 is allowed an error of 2^-46 radians (64 ulps at pi, far more
       than C libraries make), i.e. 2^-46 / pi; dividing by math.pi adds at
@@ -747,7 +840,9 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
     the ray k0 / (2d), k0 = 2d q is an integer with |t - k0| < tol < 1/2,
     so k0 = round(t), the test |t - k| <= tol passes (t - k is exact: a
     float within 1/2 of an integer far below 2^52), and zeta_4d^-k0 x = |x|
-    passes the exact test.
+    passes the exact test.  So both stages return a Fraction for exactly
+    the same x, the same Fraction, and floats that differ by a few units
+    in the last place.
 
     The exact test checks only that x zeta_4d^-k is real, as x = conj(x)
     zeta_2d^k in Q(zeta_d) (``_real_on_ray``, whose docstring shows why no
@@ -762,23 +857,10 @@ def phase_of(x: CycloNum, window_start: RationalPhase = Fraction(-1)):
         raise ZeroValueError("phase of zero is undefined")
     if type(window_start) is not Fraction:
         window_start = Fraction(window_start)
+    re, im, tol = _float_centre(x) or _box_centre(x)
     a, b = window_start.numerator, window_start.denominator
     d = x.d
-    prec = 64
-    while prec <= _SIGN_PREC_CAP:
-        re, im, err, den = _embed_fixed(x, prec)
-        r = max(abs(re), abs(im)) - err  # den * r when positive
-        if r > 0 and 2 * err * 10**10 < r:  # w / r < 1e-10, as w = 2 err / den
-            tol = 2 * d * (2 * err / r + 2.0**-46)
-            if tol < 0.5:
-                break
-        prec *= 2
-    else:
-        raise ArithmeticError("phase refinement did not converge")
-    shift = max(abs(re), abs(im)).bit_length() - den.bit_length()
-    if not -1000 < shift < 1000:
-        re, im, den = (re, im, den << shift) if shift > 0 else (re << -shift, im << -shift, den)
-    phase = math.atan2(im / den, re / den) / math.pi
+    phase = math.atan2(im, re) / math.pi
     t = 2 * d * phase
     k = round(t)
     if abs(t - k) <= tol and _real_on_ray(x, k):

@@ -34,6 +34,7 @@ from .exactmath import (
     CycloNum,
     RationalPhase,
     ResourceLimitError,
+    _canonical,
     cyclo,
     embed,
     euler_phi,
@@ -50,6 +51,10 @@ class UnsupportedCaseError(ValueError):
 
 class GepnerIdentityError(ArithmeticError):
     """Construction bug trap: zg o tau != zeta . zg on some basis vector."""
+
+
+class ZeroChargeError(ZeroDivisionError):
+    """A nonzero class whose charge is zero has no phase, so phase order is undefined on it."""
 
 
 KClass = tuple[int, ...]
@@ -282,13 +287,14 @@ def zg_class_absolute(lat: CaseLattice, v) -> CycloNum:
     """C_W times zg_class(lat, v), as integer dot products with the charge rows.
 
     C_W zg(v) = sum_i v_i C_W zg(e_i) in Q(zeta_N), N = lcm(d(C_W), d), whose
-    power basis gives each value one coordinate tuple.
+    power basis gives each value one coordinate tuple, divided down to
+    canonical form by ``_canonical`` (the rows already have phi(N) slots).
     """
     rows = lat._charge_rows
-    coords = [0] * euler_phi(rows.conductor)
+    coords = [0] * rows.phi
     for s, row in zip(rows.slots, rows.exact[0]):
         coords[s] = sum(map(mul, row, v))
-    return CycloNum.from_numerators(rows.conductor, coords, rows.den)
+    return _canonical(rows.conductor, coords, rows.den)
 
 
 def verify_gepner(lat: CaseLattice) -> bool:
@@ -393,7 +399,8 @@ class _IntegerCoords:
     Every entry is promoted to Q(zeta_conductor), conductor the lcm of the
     entries' d; ``exact[i][s][j]`` is the power-basis coordinate
     ``slots[s]`` of den * entries[i][j] for one common denominator den > 0,
-    and ``slots`` are the coordinates nonzero in some entry.
+    ``slots`` are the coordinates nonzero in some entry, and ``phi`` is
+    phi(conductor), the length of a full coordinate tuple.
     """
 
     def __init__(self, entries):
@@ -401,7 +408,8 @@ class _IntegerCoords:
         self.entries = [[x.promote(n) for x in row] for row in entries]
         self.den = den = math.lcm(*(x.den for row in self.entries for x in row))
         self.conductor = n
-        self.slots = tuple(k for k in range(euler_phi(n)) if any(x.num[k] for row in self.entries for x in row))
+        self.phi = euler_phi(n)
+        self.slots = tuple(k for k in range(self.phi) if any(x.num[k] for row in self.entries for x in row))
         self.exact = tuple(
             tuple(tuple(x.num[k] * (den // x.den) for x in row) for k in self.slots) for row in self.entries
         )
@@ -490,10 +498,11 @@ class _CrossRow:
         coords = [sum(map(mul, row, b)) for row in self.exact]
         if not any(coords):
             return 0
-        full = [0] * euler_phi(self.form.conductor)
-        for s, c in zip(self.form.slots, coords):
+        form = self.form
+        full = [0] * form.phi
+        for s, c in zip(form.slots, coords):
             full[s] = c
-        return sign_real(CycloNum.from_numerators(self.form.conductor, full))
+        return sign_real(_canonical(form.conductor, full, 1))
 
 
 class PhaseKey:
@@ -531,7 +540,8 @@ class PhaseKey:
        semistability, so they never rest on floats.
     3. Otherwise ``sign_real`` of the exact value sum_s (a^T F_s b) zeta^s.
 
-    Keys compare only with keys of the same lattice.
+    Keys compare only with keys of the same lattice.  A class whose charge
+    is zero has no key: it raises ZeroChargeError, a ZeroDivisionError.
     """
 
     __slots__ = ("_lat", "cls", "_norm", "region", "_row", "_approx")
@@ -549,7 +559,7 @@ class PhaseKey:
         else:
             s_re = -form.neg_re_row.sign(self.cls, self._norm)
             if s_re == 0:
-                raise ZeroDivisionError("phase of a zero charge")
+                raise ZeroChargeError(f"class {self.cls} has zero charge, so it has no phase")
             self.region = 1 if s_re < 0 else 3  # phase 1 resp. phase 2
         self._row = form.row(self.cls)
         self._approx = None

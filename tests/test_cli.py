@@ -220,6 +220,23 @@ def test_hn_phase_keys_print_as_before(tmp_path, capsys, data, expected):
     assert capsys.readouterr().out == expected
 
 
+def test_hn_phase_order_on_a_zero_charge_class_is_a_usage_error(tmp_path, capsys):
+    # on (3,1;6) the class (1, 0, 1, 0) of C(1) + PsiO(p1) has zero charge
+    data = {"field": "Fp", "p": 5, "type": "(3,1;6)",
+            "dims": {"C(1)": 1, "C(0)": 0, "PsiO(p1)": 1, "PsiO(p2)": 0},
+            "mats": {"X2": [], "pi1": [[]], "pi2": []}}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert main(["hn", "--rep", str(path), "--mode", "phase"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: class (1, 0, 1, 0) has zero charge, so it has no phase; "
+        "phase order is undefined on (3,1;6), use --mode slope\n"
+    )
+    assert main(["hn", "--rep", str(path), "--mode", "slope"]) == 0
+
+
 def test_stability_c1m1_on_two_step_type():
     proc = run_cli("stability", "--type", "1,1:4", "--object", "C1m1", "--primes", "5,7")
     assert proc.returncode == 0

@@ -7,12 +7,15 @@ from itertools import product
 
 import pytest
 
+from gepnerstab import exactmath
+from gepnerstab.classify import enumerate_types
 from gepnerstab.exactmath import (
     QZETA,
     ComplexBox,
     CycloNum,
     ZeroValueError,
     _power_table,
+    _float_centre,
     _real_on_ray,
     _rref,
     _trig_enclosure,
@@ -27,6 +30,7 @@ from gepnerstab.exactmath import (
     solve,
 )
 from gepnerstab.gfield import GF
+from gepnerstab.hearts import lattice_for, zg_class_absolute
 
 
 def test_cyclotomic_polynomials():
@@ -309,6 +313,93 @@ def _ray_values(rng, d):
             x = x * rng.choice((cyclo(d, j), 1 + cyclo(d, j), 1 - cyclo(d, j)))
         out.append(x)
     return out
+
+
+def _scaled(x, size):
+    """x.den x times the integer that brings the sum of its |numerators| nearest to size from below."""
+    return CycloNum.from_numerators(x.d, [a * max(1, size // sum(map(abs, x.num))) for a in x.num])
+
+
+def _stage_values():
+    """(x, window_start) pairs for both stages of phase_of, seeded.
+
+    Charges of classes on the twelve lattices in their windows, and for
+    d = 1..24 random elements, values on rays, values 1e-16 to 1e-12 of
+    their height off a ray, and these scaled to just below and just above
+    the float stage's cutoff sum |num| = 2^50.
+    """
+    out = []
+    for index, (t, _) in enumerate(enumerate_types((2, 3, 4), 6)):
+        lat = lattice_for(t)
+        rng = random.Random(50_000 + index)
+        for bound in (3, 1000):
+            for _ in range(20):
+                z = zg_class_absolute(lat, tuple(rng.randint(-bound, bound) for _ in range(lat.rank)))
+                out.append((z, lat.theta))
+    windows = (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(-7, 6))
+    for d in range(1, 25):
+        rng = random.Random(60_000 + d)
+        rays = _ray_values(rng, d)
+        near = [x + x.height() * Fraction(1, 10 ** rng.randint(12, 16)) * cyclo(d, rng.randrange(d)) for x in rays]
+        values = [_random_elt(rng, d) for _ in range(4)] + rays + near
+        values += [_scaled(x, size) for x in values if x for size in (2**50 - 1, 2**50 + 2**47)]
+        out += [(x, rng.choice(windows)) for x in values]
+    return [(x, w) for x, w in out if x]
+
+
+def _phases_from_boxes(pairs):
+    """phase_of on each pair with its float stage switched off: the integer boxes alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactmath, "_float_centre", lambda x: None)
+        return [phase_of(x, w) for x, w in pairs]
+
+
+def test_float_stage_agrees_with_the_integer_boxes():
+    pairs = _stage_values()
+    seen = set()
+    for (x, w), want in zip(pairs, _phases_from_boxes(pairs)):
+        got = phase_of(x, w)
+        seen.add((_float_centre(x) is not None, type(want)))
+        assert type(got) is type(want), (x, w, got, want)
+        if isinstance(want, Fraction):
+            assert got == want, (x, w)
+        else:
+            assert abs(got - want) < 1e-12, (x, w, got, want)
+            assert w < got <= w + 2
+    # each stage decides rays and values off them
+    assert seen == {(True, Fraction), (True, float), (False, Fraction), (False, float)}
+
+
+def test_float_stage_cutoff():
+    # sum |num| = 2^50 - 1 takes the float stage; 2^50 and above go to the integer boxes
+    for nums, floats in [
+        ((2**49 + 1, 2**48, 2**48 - 2, 0), True),
+        ((2**49 + 1, 2**48, 2**48 - 1, 0), False),
+        ((2**49 + 1, 2**48, 2**48, 0), False),
+    ]:
+        x = CycloNum.from_numerators(12, nums)
+        assert sum(map(abs, x.num)) - 2**50 in (-1, 0, 1)
+        assert (_float_centre(x) is not None) == floats
+        assert abs(phase_of(x) - _phases_from_boxes([(x, Fraction(-1))])[0]) < 1e-12
+    # n (1 - i) lies on the ray -1/4 on both sides of the cutoff
+    for n, floats in [(2**49 - 1, True), (2**49, False)]:
+        x = CycloNum.from_numerators(4, (n, -n))
+        assert (_float_centre(x) is not None) == floats
+        assert phase_of(x) == Fraction(-1, 4)
+
+
+def test_values_too_small_for_floats_go_to_the_integer_boxes():
+    # u^30, u = 2 cos(2 pi/5), has numerators near 2^21 and value near 5e-7:
+    # below the cutoff, but its float box certifies no angle.  The u^n of
+    # test_phase_of_exact_rays_beyond_the_first_box lie above the cutoff.
+    u = cyclo(5, 1) + cyclo(5, 4)
+    for n in (30, 120, 160, 200):
+        un = u**n
+        assert (sum(map(abs, un.num)) < 2**50) == (n == 30)
+        for k in range(20):
+            x = un * cyclo(20, k)
+            assert _float_centre(x) is None
+            assert phase_of(x) == (Fraction(k, 10) if k <= 10 else Fraction(k, 10) - 2)
 
 
 @pytest.mark.parametrize("d", range(1, 25))

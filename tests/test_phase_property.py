@@ -28,8 +28,8 @@ def _values(draw):
     d = draw(st.integers(1, 12))
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=20)
     x = CycloNum(d, [draw(coeff) for _ in range(euler_phi(d))])
-    kind = draw(st.sampled_from(("generic", "ray", "near ray")))
-    if kind != "generic":
+    kind = draw(st.sampled_from(("generic", "ray", "near ray", "large")))
+    if kind in ("ray", "near ray") or (kind == "large" and draw(st.booleans())):
         # a real value times zeta_d^j and factors 1 +- zeta_d^j lies on a ray
         x = x + x.conjugate()
         for _ in range(draw(st.integers(0, 2))):
@@ -41,6 +41,12 @@ def _values(draw):
         j = draw(st.integers(0, d - 1))
         x = x + x.height() * Fraction(1, 10 ** draw(st.integers(12, 16))) * cyclo(d, j)
     hypothesis.assume(not x.is_zero())
+    if kind == "large":
+        # a positive multiple with sum |num| just below, at or just above 2^50,
+        # where phase_of's float stage hands over to the integer boxes
+        size = sum(map(abs, x.num))
+        scale = max(1, 2**50 // size + draw(st.integers(-1, 1)))
+        x = CycloNum.from_numerators(d, [a * scale for a in x.num])
     return x
 
 

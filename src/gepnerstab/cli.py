@@ -361,43 +361,9 @@ def _object_notes(wtype: WeightedType, name: str) -> list[str]:
     return []
 
 
-def _fp_rep(data: dict, quiver, max_q: int) -> QuiverRep:
-    """The representation in an "Fp" file; zero maps where the file gives none.
-
-    A dimension key that is no vertex, a label that is no arrow, or a map
-    whose shape does not match the dimensions, is a malformed file
-    (ValueError), not a relation failure.
-    """
-    from .quiverrep import MAX_TOTAL_DIM, QuiverRep, bounded_field
-
-    gf = bounded_field(int(data["p"]), quiver.conductor, max_q)
-    dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
-    for v in data["dims"]:
-        if v not in dims:
-            raise ValueError(f"{v!r} is not a vertex of the {quiver.wtype} quiver")
-    if min(dims.values()) < 0:
-        raise ValueError(f"negative dimension in {dims}")
-    if sum(dims.values()) > MAX_TOTAL_DIM:  # refused before the zero maps are built
-        raise ResourceLimitError(f"total dimension {sum(dims.values())} exceeds {MAX_TOTAL_DIM}")
-    arrows = {a.label: a for a in quiver.arrows}
-    mats = {}
-    for label, m in data.get("mats", {}).items():
-        if label not in arrows:
-            raise ValueError(f"{label!r} is not an arrow of the {quiver.wtype} quiver")
-        a = arrows[label]
-        mat = tuple(tuple(int(x) % gf.q for x in row) for row in m)
-        if len(mat) != dims[a.tgt] or any(len(row) != dims[a.src] for row in mat):
-            raise ValueError(f"map {label} ({a.src} -> {a.tgt}) must be a {dims[a.tgt]}x{dims[a.src]} matrix")
-        mats[label] = mat
-    for a in quiver.arrows:
-        if a.label not in mats:
-            mats[a.label] = tuple(tuple(0 for _ in range(dims[a.src])) for _ in range(dims[a.tgt]))
-    return QuiverRep(quiver, gf, dims, mats)
-
-
 def cmd_hn(args) -> int:
     from .hearts import ZeroChargeError, lattice_for
-    from .quiverrep import StabilitySpec, default_spec, heart_quiver, hn_filtration
+    from .quiverrep import StabilitySpec, default_spec, heart_quiver, hn_filtration, rep_from_json
 
     try:
         with open(args.rep) as fh:
@@ -418,7 +384,7 @@ def cmd_hn(args) -> int:
         print("rep field must be 'Fp' with a prime p", file=sys.stderr)
         return 2
     try:
-        rep = _fp_rep(data, quiver, args.max_q)
+        rep = rep_from_json(data, quiver, args.max_q)
     except (KeyError, TypeError, AttributeError) as exc:
         print(f"malformed representation file: {exc!r}", file=sys.stderr)
         return 2

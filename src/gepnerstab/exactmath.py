@@ -37,8 +37,10 @@ Conventions used throughout the package:
   module, with ``rank``, ``kernel`` and ``solve`` on top of it.  They run
   over any field object that supplies zero, one, reciprocal, negate and
   the row operations scale and eliminate: ``QZETA`` (Q(zeta_d), CycloNum
-  entries) for the Ext tables and the eigen-row, and ``gfield.GF`` for
-  ``gfield.span`` and ``gfield.kernel``.
+  entries) for the Ext tables, the eigen-row and the exact quiver
+  representations, and ``gfield.GF`` for ``gfield.span``,
+  ``gfield.kernel`` and the reduced ones.  Both fields also map
+  cyclotomic coefficients in with ``reduce_cyclo``.
 """
 
 from __future__ import annotations
@@ -960,6 +962,11 @@ class _CyclotomicField:
     @staticmethod
     def eliminate(row, f, pivot_row):
         return [x - f * y for x, y in zip(row, pivot_row)]
+
+    @staticmethod
+    def reduce_cyclo(x, conductor):
+        """x itself, as ``GF.reduce_cyclo`` maps it into GF(p^k): Q(zeta_conductor) lies in this field."""
+        return x
 
 
 QZETA = _CyclotomicField()

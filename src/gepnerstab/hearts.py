@@ -138,6 +138,11 @@ class CaseLattice:
         return _PhaseForm(self)
 
     @cached_property
+    def _zg_rows(self) -> "_IntegerCoords":
+        """zg(e_i) in integer coordinates, built on the first normalized charge."""
+        return _IntegerCoords([self.zg_row])
+
+    @cached_property
     def _charge_rows(self) -> "_IntegerCoords":
         """C_W zg(e_i) in integer coordinates, built on the first absolute charge."""
         return _IntegerCoords([[self.c_w * z for z in self.zg_row]])
@@ -275,22 +280,22 @@ def build_lattice(wtype: WeightedType) -> CaseLattice:
 
 
 def zg_class(lat: CaseLattice, v) -> CycloNum:
-    """Normalized central charge of a K-class (in C_W units)."""
-    acc = CycloNum.zero(lat.wtype.degree)
-    for c, u in zip(v, lat.zg_row):
-        if c:
-            acc = acc + c * u
-    return acc
+    """Normalized central charge of a K-class (in C_W units), in Q(zeta_d)."""
+    return _row_value(lat._zg_rows, v)
 
 
 def zg_class_absolute(lat: CaseLattice, v) -> CycloNum:
-    """C_W times zg_class(lat, v), as integer dot products with the charge rows.
+    """C_W times zg_class(lat, v), in Q(zeta_N), N = lcm(d(C_W), d)."""
+    return _row_value(lat._charge_rows, v)
 
-    C_W zg(v) = sum_i v_i C_W zg(e_i) in Q(zeta_N), N = lcm(d(C_W), d), whose
-    power basis gives each value one coordinate tuple, divided down to
-    canonical form by ``_canonical`` (the rows already have phi(N) slots).
+
+def _row_value(rows: "_IntegerCoords", v) -> CycloNum:
+    """sum_i v_i x_i for the one row (x_i) of rows, as integer dot products with its coordinates.
+
+    The power basis of Q(zeta_N), N = rows.conductor, gives each value one
+    coordinate tuple, divided down to canonical form by ``_canonical`` (the
+    rows already have phi(N) slots).
     """
-    rows = lat._charge_rows
     coords = [0] * rows.phi
     for s, row in zip(rows.slots, rows.exact[0]):
         coords[s] = sum(map(mul, row, v))

@@ -306,35 +306,3 @@ def validate(mf: GradedMF, w: Poly | None = None) -> ValidationReport:
                     report.add(f"{name}[{i}][{j}] composition failure, residual {residual}")
     return report
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def mf_to_json(mf: GradedMF) -> dict:
-    obj = {
-        "type": {"weights": list(mf.wtype.weights), "degree": mf.wtype.degree},
-        "p0_shifts": list(mf.p0_module.shifts),
-        "p1_shifts": list(mf.p1_module.shifts),
-    }
-    if mf.maps is not None:
-        p0, p1 = mf.maps
-        obj["maps"] = [
-            [[str(e) for e in row] for row in p0],
-            [[str(e) for e in row] for row in p1],
-        ]
-    return obj
-
-
-def mf_from_json(obj: dict) -> GradedMF:
-    wtype = WeightedType(tuple(obj["type"]["weights"]), obj["type"]["degree"])
-    maps = None
-    if "maps" in obj and obj["maps"] is not None:
-        p0_raw, p1_raw = obj["maps"]
-        parse = lambda mat: tuple(tuple(Poly.parse(e, wtype.n) for e in row) for row in mat)
-        maps = (parse(p0_raw), parse(p1_raw))
-    return GradedMF(
-        wtype,
-        GradedFreeModule(tuple(obj["p0_shifts"])),
-        GradedFreeModule(tuple(obj["p1_shifts"])),
-        maps,
-    )

@@ -23,11 +23,11 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import NamedTuple
 
-from .exactmath import CycloNum, ResourceLimitError
+from .exactmath import QZETA, CycloNum, ResourceLimitError
 from .gfield import (
     GF,
     BadReductionError,
@@ -50,8 +50,6 @@ from .gfield import (
 from .hearts import CaseLattice, im_units, lattice_for, phase_key, points_of, slope_mu
 from .mfcore import WeightedType
 from .polynomials import monomials_of_weighted_degree
-
-EXACT = "exact"
 
 
 class HNTieError(ArithmeticError):
@@ -160,10 +158,12 @@ def heart_quiver(wtype: WeightedType) -> QuiverWithRelations:
 class QuiverRep:
     """dims per vertex and a matrix (rows x cols = tgt x src) per arrow.
 
-    field is either the EXACT marker (entries CycloNum) or a GF instance
-    (entries integer codes).  A rep must not be mutated once built: its
-    subrepresentation search runs once and is cached on it (see
-    subrep_classes).  dataclasses.replace makes a new rep, searched afresh.
+    field is exactmath.QZETA (entries CycloNum) or a GF instance (entries
+    integer codes); the entries are computed on through the field's row
+    operations, so one code path serves both.  A rep must not be mutated
+    once built: its subrepresentation search runs once and is cached on it
+    (see subrep_classes).  dataclasses.replace makes a new rep, searched
+    afresh.
     """
 
     quiver: QuiverWithRelations
@@ -194,13 +194,16 @@ class QuiverRep:
         return self.relations_hold()
 
     def relations_hold(self) -> bool:
-        _, add, mul = _entry_ops(self.field, self.quiver.conductor)
+        f = self.field
         for outer, terms in self.quiver.relations:
-            total = relation_sum(self.quiver, self.field, self.mats, terms)
+            total = relation_sum(self.quiver, f, self.mats, terms)
+            zero = [f.zero] * (len(total[0]) if total else 0)
             for row in self.mats[outer]:
-                for col in zip(*total):
-                    if reduce(add, map(mul, row, col)) != 0:
-                        return False
+                composed = zero
+                for c, total_row in zip(row, total):
+                    composed = f.eliminate(composed, f.negate(c), total_row)  # += c * total_row
+                if any(composed):
+                    return False
         return True
 
     @cached_property
@@ -208,34 +211,26 @@ class QuiverRep:
         return _search_subreps(self)
 
 
-def _entry_ops(field, conductor: int):
-    """(coefficient map, add, mul) on the matrix entries of a rep over field.
-
-    Exact entries are CycloNums; over GF(p^k) entries are codes and
-    cyclotomic coefficients reduce through the conductor's root of unity.
-    """
-    if field is EXACT:
-        return (lambda c: c), operator.add, operator.mul
-    return (
-        lambda c: field.reduce_cyclo(c, conductor),
-        lambda x, y: field.add[x][y],
-        lambda x, y: field.mul[x][y],
-    )
-
-
 def relation_sum(quiver: QuiverWithRelations, field, mats: dict, terms):
-    """sum(coeff * M_inner) over field, for the (coeff, inner) terms of a relation."""
-    lift, add, mul = _entry_ops(field, quiver.conductor)
+    """sum(coeff * M_inner) over field, for the (coeff, inner) terms of a relation.
+
+    Each cyclotomic coeff enters the field through its reduce_cyclo.
+    """
     total = None
     for coeff, inner in terms:
-        c = lift(coeff)
-        term = [[mul(c, x) for x in row] for row in mats[inner]]
-        total = term if total is None else [list(map(add, r, t)) for r, t in zip(total, term)]
+        c = field.reduce_cyclo(coeff, quiver.conductor)
+        if total is None:
+            total = [field.scale(row, c) for row in mats[inner]]
+        else:
+            total = [field.eliminate(t, field.negate(c), row) for t, row in zip(total, mats[inner])]
     return total
 
 
-def _zero_matrix(rows, cols):
-    return tuple(tuple(CycloNum.zero() for _ in range(cols)) for _ in range(rows))
+def _add_zero_maps(quiver: QuiverWithRelations, field, dims: dict, mats: dict) -> None:
+    """Give each arrow that has no map in mats the zero matrix over field."""
+    for a in quiver.arrows:
+        if a.label not in mats:
+            mats[a.label] = tuple(tuple(field.zero for _ in range(dims[a.src])) for _ in range(dims[a.tgt]))
 
 
 def named_object(wtype: WeightedType, name: str, point_index: int = 1) -> QuiverRep:
@@ -258,10 +253,8 @@ def named_object(wtype: WeightedType, name: str, point_index: int = 1) -> Quiver
     mats = {}
 
     def finish():
-        for a in q.arrows:
-            if a.label not in mats:
-                mats[a.label] = _zero_matrix(dims[a.tgt], dims[a.src])
-        rep = QuiverRep(q, EXACT, dims, mats)
+        _add_zero_maps(q, QZETA, dims, mats)
+        rep = QuiverRep(q, QZETA, dims, mats)
         if not rep.validate():
             raise ArithmeticError(f"named object {name} violates the relations")
         return rep
@@ -351,7 +344,7 @@ def rep_to_json(rep: QuiverRep) -> dict:
     Matrix entries are the integer codes of GF(p^k) (base-p digits against
     the field modulus); plain residues when k = 1.
     """
-    if rep.field is EXACT:
+    if rep.field is QZETA:
         raise ValueError("serialize a reduced representation, not an exact one")
     return {
         "field": "Fp",
@@ -360,6 +353,43 @@ def rep_to_json(rep: QuiverRep) -> dict:
         "dims": {v: rep.dims.get(v, 0) for v in rep.quiver.vertices},
         "mats": {label: [list(row) for row in mat] for label, mat in rep.mats.items()},
     }
+
+
+def rep_from_json(data: dict, quiver: QuiverWithRelations, max_q: int | None = None) -> QuiverRep:
+    """The representation that rep_to_json wrote, on quiver; zero maps where data gives none.
+
+    The field is bounded_field(p, quiver.conductor, max_q).  A p that
+    divides the conductor, a dimension key that is no vertex, a label that
+    is no arrow, or a map whose shape does not match the dimensions, is a
+    ValueError, not a relation failure; the relations are not checked
+    here (QuiverRep.validate).  Missing keys and entries of the wrong kind
+    raise KeyError, TypeError or AttributeError.
+    """
+    p = int(data["p"])
+    try:
+        gf = bounded_field(p, quiver.conductor, max_q)
+    except BadReductionError:
+        raise ValueError(f"prime {p} divides the conductor {quiver.conductor} of the {quiver.wtype} quiver") from None
+    dims = {v: int(data["dims"].get(v, 0)) for v in quiver.vertices}
+    for v in data["dims"]:
+        if v not in dims:
+            raise ValueError(f"{v!r} is not a vertex of the {quiver.wtype} quiver")
+    if min(dims.values()) < 0:
+        raise ValueError(f"negative dimension in {dims}")
+    if sum(dims.values()) > MAX_TOTAL_DIM:  # refused before the zero maps are built
+        raise ResourceLimitError(f"total dimension {sum(dims.values())} exceeds {MAX_TOTAL_DIM}")
+    arrows = {a.label: a for a in quiver.arrows}
+    mats = {}
+    for label, m in data.get("mats", {}).items():
+        if label not in arrows:
+            raise ValueError(f"{label!r} is not an arrow of the {quiver.wtype} quiver")
+        a = arrows[label]
+        mat = tuple(tuple(int(x) % gf.q for x in row) for row in m)
+        if len(mat) != dims[a.tgt] or any(len(row) != dims[a.src] for row in mat):
+            raise ValueError(f"map {label} ({a.src} -> {a.tgt}) must be a {dims[a.tgt]}x{dims[a.src]} matrix")
+        mats[label] = mat
+    _add_zero_maps(quiver, gf, dims, mats)
+    return QuiverRep(quiver, gf, dims, mats)
 
 
 def bounded_field(p: int, conductor: int, max_q: int | None = None) -> GF:
@@ -379,12 +409,13 @@ def reduce_rep(rep: QuiverRep, p: int, max_q: int | None = None) -> QuiverRep:
     The field is GF(p^k) with k minimal so the quiver's cyclotomic
     conductor embeds; entries map through a fixed order-N root of unity.
     With max_q, a field with more than max_q elements is refused before
-    it is built.
+    it is built.  A prime that is not good is a ValueError, as the caller
+    chose it; relations that fail after reduction are a BadReductionError.
     """
-    if rep.field is not EXACT:
+    if rep.field is not QZETA:
         raise ValueError("can only reduce exact representations")
     if not is_good_prime(rep.quiver.wtype, p):
-        raise BadReductionError(f"{p} is not a good prime for {rep.quiver.wtype}")
+        raise ValueError(f"{p} is not a good prime for {rep.quiver.wtype}")
     gf = bounded_field(p, rep.quiver.conductor, max_q)
     mats = {
         label: tuple(
@@ -534,7 +565,7 @@ def _check_guard(rep: QuiverRep):
     from q, the subspaces at each inner vertex.  q itself is not bounded
     here: whoever built the field sized it (bounded_field).
     """
-    if rep.field is EXACT:
+    if rep.field is QZETA:
         raise ResourceLimitError("subrepresentation search runs over finite fields")
     total = rep.total_dim()
     if total > MAX_TOTAL_DIM:
@@ -1068,7 +1099,18 @@ class StabilitySpec:
 
 
 def default_spec(wtype: WeightedType) -> StabilitySpec:
-    """Phase order where the charge image is a strict sector, else slope."""
+    """Phase order where the charge image is a strict sector, else slope.
+
+    On the (2,-2) quivers Z vanishes on nonzero effective classes, such as
+    (1,0,1,0) = C(1) + PsiO(p1) on (3,1;6), so Z is not a stability
+    function on rep(Q) there and phase order is undefined on those
+    classes (ZeroChargeError).  Their verdicts use the weak slope order of
+    slope_mu, with its +-inf conventions: a class of point weight zero has
+    slope +inf.  The two orders can differ: over F_5 on (3,1;6), the rep
+    C(1) -> C(0) with map 1, of class (1,1,0,0), is semistable_only in
+    slope order (C(0) and the total both have slope +inf) and stable in
+    phase order (phases 5/3 < 11/6).
+    """
     lat = lattice_for(wtype)
     mode = "phase" if lat.case in ((3, 0), (2, -1)) else "slope"
     return StabilitySpec(lat, mode)
@@ -1088,9 +1130,12 @@ class Verdict:
 def is_stable(rep: QuiverRep, spec: StabilitySpec) -> Verdict:
     """Compare every proper nonzero subrepresentation class with the total.
 
-    ok is True exactly when the status is "stable".  In phase mode the
-    minimal-imaginary-part shortcut is also evaluated when the case
-    provides one, and must agree with the exhaustive verdict.
+    ok is True exactly when the status is "stable".  In the (3,-1) and
+    (2,-2) cases, whose default is the slope order, the
+    minimal-imaginary-part shortcut is also evaluated, in either mode,
+    when the total has one Im-unit (hearts.im_units); shortcut_agrees says
+    whether it matches the exhaustive verdict, and is None where it does
+    not apply.
     """
     total = rep.kclass()
     key_e = spec.key(total)

@@ -304,6 +304,13 @@ def test_stability_rejects_non_primes(primes):
     assert_usage_error(run_cli("stability", "--type", "1,1:3", "--object", "C1m1", "--primes", primes))
 
 
+def test_stability_refuses_a_bad_prime():
+    # 2 divides 2d = 8: the prime was chosen on the command line, so a usage error
+    proc = run_cli("stability", "--type", "1,1:4", "--object", "C2m1", "--primes", "2")
+    assert_usage_error(proc)
+    assert proc.stderr == "error: 2 is not a good prime for (1,1;4)\n"
+
+
 def test_stability_refuses_oversize_field():
     proc = run_cli("stability", "--type", "1,1:4", "--object", "C2m1", "--primes", "127")
     assert_usage_error(proc)
@@ -408,6 +415,8 @@ ZERO_113 = {"field": "Fp", "p": 5, "type": "(1,1;3)", "dims": {"C(0)": 1}}
         (ZERO_113 | {"dims": {"C(0)": 1, "C(9)": 4}}, "'C(9)' is not a vertex of the (1,1;3) quiver"),
         # total dimension 6, but F_5^6 has 3,583,232 subspaces to enumerate
         (ZERO_113 | {"type": "3,2:6", "dims": {"C(0)": 6}}, "C(0) has 3583232 subspaces over F_5"),
+        # 3 divides the conductor: the file chose the prime, so a usage error
+        (ZERO_113 | {"p": 3}, "error: prime 3 divides the conductor 6 of the (1,1;3) quiver"),
     ],
 )
 def test_hn_rep_file_errors(tmp_path, data, message):

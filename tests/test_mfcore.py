@@ -12,8 +12,6 @@ from gepnerstab.mfcore import (
     kclass,
     koszul_c,
     koszul_closed_form,
-    mf_from_json,
-    mf_to_json,
     q_object,
     shift,
     tau,
@@ -157,15 +155,6 @@ def test_validate_requires_maps():
     t = WeightedType((1, 1), 4)
     with pytest.raises(MissingMapsError):
         validate(koszul_c(t, 0))
-
-
-def test_json_roundtrip():
-    t = WeightedType((1,), 4)
-    mf = q_object(t, 1, 2)
-    back = mf_from_json(mf_to_json(mf))
-    assert back == mf
-    plain = koszul_c(WeightedType((1, 1), 4), 1)
-    assert mf_from_json(mf_to_json(plain)) == plain
 
 
 def test_poly_parse_and_print():

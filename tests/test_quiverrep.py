@@ -870,12 +870,48 @@ def test_semistable_only():
 
 
 def test_shortcut_agreement_on_named_objects():
-    for t in (T114, T316):
+    # every named object of the (2,-2) types at every point (C1m1 is an alias
+    # of C1 there); the shortcut applies where the total has one Im-unit
+    applies = {T114: set(), T316: set()}
+    for t in applies:
         spec = default_spec(t)
-        red = reduce_rep(named_object(t, "tauPsiOx"), 5)
-        v = is_stable(red, spec)
-        if v.shortcut_agrees is not None:
-            assert v.shortcut_agrees
+        for name in ("C0", "C1", "C2m1", "PsiOx", "tauPsiOx"):
+            for idx in range(1, len(lattice_for(t).points) + 1) if "Psi" in name else [1]:
+                v = is_stable(reduce_rep(named_object(t, name, idx), 5), spec)
+                if v.shortcut_agrees is not None:
+                    assert v.shortcut_agrees, (t, name, idx)
+                    applies[t].add(name)
+    assert applies == {T114: {"PsiOx"}, T316: {"tauPsiOx", "C2m1"}}
+
+
+@pytest.mark.parametrize("t, count", [(T316, 5), (T114, 29)], ids=str)
+def test_zero_charge_classes_of_the_2_2_lattices(t, count):
+    # Z vanishes on nonzero effective classes here, so it is no stability
+    # function on rep(Q) and the phase order is undefined on them
+    from gepnerstab.hearts import ZeroChargeError, zg_class
+
+    lat = lattice_for(t)
+    zeros = [v for v in product(range(3), repeat=lat.rank) if any(v) and zg_class(lat, v).is_zero()]
+    assert len(zeros) == count
+    if t == T316:
+        assert (1, 0, 1, 0) in zeros  # C(1) + PsiO(p1)
+    spec = StabilitySpec(lat, "phase")
+    for v in zeros:
+        with pytest.raises(ZeroChargeError):
+            spec.key(v)
+
+
+def test_slope_and_phase_orders_differ_on_a_2_2_rep():
+    # C(1) -> C(0) with map 1 on (3,1;6) over F_5: C(0) and the total both have
+    # slope +inf, while their phases are 5/3 < 11/6
+    from gepnerstab.quiverrep import rep_from_json
+
+    rep = rep_from_json({"p": 5, "dims": {"C(1)": 1, "C(0)": 1}, "mats": {"X2": [[1]]}}, heart_quiver(T316))
+    assert rep.validate() and rep.kclass() == (1, 1, 0, 0)
+    lat = lattice_for(T316)
+    slope = is_stable(rep, StabilitySpec(lat, "slope"))
+    assert (slope.status, slope.witness) == ("semistable_only", (0, 1, 0, 0))
+    assert is_stable(rep, StabilitySpec(lat, "phase")).status == "stable"
 
 
 @pytest.mark.parametrize("t", [T114, T316, WeightedType((1, 1, 1), 4)], ids=str)
@@ -1054,19 +1090,16 @@ def test_hn_random_property(t):
 
 
 def test_rep_json_roundtrip():
-    from gepnerstab.quiverrep import rep_to_json
+    from gepnerstab.quiverrep import rep_from_json, rep_to_json
 
     rng = random.Random(17)
-    q = heart_quiver(T114)
-    rep = random_rep(q, 5, rng, max_dim=2, inner_budget=3, total_budget=8)
-    data = rep_to_json(rep)
-    assert data["p"] == 5 and data["type"] == "(1,1;4)"
-    gf = field_for(5, q.conductor)
-    back = QuiverRep(q, gf, dict(data["dims"]), {
-        k: tuple(tuple(row) for row in m) for k, m in data["mats"].items()
-    })
-    assert back.validate()
-    assert back.kclass() == rep.kclass()
+    for t in N2_TYPES:
+        q = heart_quiver(t)
+        for _ in range(20):
+            rep = random_rep(q, 5, rng)
+            data = json.loads(json.dumps(rep_to_json(rep)))
+            assert data["p"] == 5 and data["type"] == str(t)
+            assert rep_from_json(data, q, 49) == rep
     with pytest.raises(ValueError):
         rep_to_json(named_object(T114, "C2m1"))
 
